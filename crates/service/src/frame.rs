@@ -85,6 +85,18 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     w.write_all(&buf)
 }
 
+/// Appends one frame to `out`: a `u32 LE` length prefix, then the
+/// payload `fill` writes straight into `out` behind it.
+pub(crate) fn put_frame(out: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    fill(out);
+    let len = (out.len() - start - 4) as u32;
+    if let Some(prefix) = out.get_mut(start..start + 4) {
+        prefix.copy_from_slice(&len.to_le_bytes());
+    }
+}
+
 /// Reads one frame payload, refusing lengths above `max_bytes`. Blocking;
 /// the server uses its own deadline-aware reader instead.
 pub fn read_frame(r: &mut impl Read, max_bytes: usize) -> std::io::Result<Vec<u8>> {
@@ -100,15 +112,6 @@ pub fn read_frame(r: &mut impl Read, max_bytes: usize) -> std::io::Result<Vec<u8
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
     Ok(payload)
-}
-
-/// Wraps a JSON document (rendered as text) in a [`TAG_JSON`] payload.
-pub fn json_payload(doc: &crate::json::Json) -> Vec<u8> {
-    let text = doc.to_string();
-    let mut out = Vec::with_capacity(1 + text.len());
-    out.push(TAG_JSON);
-    out.extend_from_slice(text.as_bytes());
-    out
 }
 
 /// A bounds-checked little-endian reader over one frame body.
@@ -377,6 +380,21 @@ pub fn encode_route_reply(
     schedule: &Schedule,
     want_schedule: bool,
 ) -> Vec<u8> {
+    let mut out = Vec::with_capacity(14);
+    put_route_reply(&mut out, cache_hit, micros, schedule, want_schedule);
+    out
+}
+
+/// Appends a [`TAG_ROUTE_REPLY`] payload to `out` — the server's
+/// allocation-free form of [`encode_route_reply`].
+// lint: hot-path
+pub(crate) fn put_route_reply(
+    out: &mut Vec<u8>,
+    cache_hit: bool,
+    micros: u64,
+    schedule: &Schedule,
+    want_schedule: bool,
+) {
     let mut flags = 0u8;
     if cache_hit {
         flags |= FLAG_CACHE_HIT;
@@ -384,15 +402,13 @@ pub fn encode_route_reply(
     if want_schedule {
         flags |= FLAG_HAS_SCHEDULE;
     }
-    let mut out = Vec::with_capacity(14);
     out.push(TAG_ROUTE_REPLY);
     out.push(flags);
-    push_u32(&mut out, schedule.slot_count());
+    push_u32(out, schedule.slot_count());
     out.extend_from_slice(&micros.to_le_bytes());
     if want_schedule {
-        encode_schedule(&mut out, schedule);
+        encode_schedule(out, schedule);
     }
-    out
 }
 
 /// A decoded [`TAG_ROUTE_REPLY`] body.
@@ -438,16 +454,30 @@ pub fn encode_batch_item(
     want_schedule: bool,
 ) -> Vec<u8> {
     let mut out = Vec::with_capacity(18);
+    put_batch_item(&mut out, index, d, g, schedule, want_schedule);
+    out
+}
+
+/// Appends a [`TAG_BATCH_ITEM`] payload to `out` — the server's
+/// allocation-free form of [`encode_batch_item`].
+// lint: hot-path
+pub(crate) fn put_batch_item(
+    out: &mut Vec<u8>,
+    index: usize,
+    d: usize,
+    g: usize,
+    schedule: &Schedule,
+    want_schedule: bool,
+) {
     out.push(TAG_BATCH_ITEM);
-    push_u32(&mut out, index);
-    push_u32(&mut out, d);
-    push_u32(&mut out, g);
-    push_u32(&mut out, schedule.slot_count());
+    push_u32(out, index);
+    push_u32(out, d);
+    push_u32(out, g);
+    push_u32(out, schedule.slot_count());
     out.push(if want_schedule { 1 } else { 0 });
     if want_schedule {
-        encode_schedule(&mut out, schedule);
+        encode_schedule(out, schedule);
     }
-    out
 }
 
 /// A decoded [`TAG_BATCH_ITEM`] body.

@@ -208,6 +208,13 @@ impl CacheAction {
 /// A parsed protocol request.
 #[derive(Debug, Clone)]
 pub enum WireRequest {
+    /// Wire-format negotiation; only meaningful on a JSON-lines
+    /// connection.
+    Hello {
+        /// The format the connection switches to after the
+        /// acknowledgement.
+        format: WireFormat,
+    },
     /// Liveness probe.
     Ping,
     /// Serving-topology and configuration query.
@@ -221,8 +228,12 @@ pub enum WireRequest {
         /// What to do with the cache.
         action: CacheAction,
     },
-    /// A routing request.
+    /// A routing request, bound to the topology it selected.
     Route {
+        /// Processors per group of the selected topology.
+        d: usize,
+        /// Number of groups of the selected topology.
+        g: usize,
         /// The request to route.
         req: ServiceRequest,
         /// Whether the response should carry the schedule body.
@@ -312,6 +323,12 @@ pub fn parse_request(doc: &Json, topology: &PopsTopology) -> Result<WireRequest,
         .and_then(Json::as_str)
         .ok_or("missing string field 'op'")?;
     match op {
+        "hello" => {
+            let name = doc.get("format").and_then(Json::as_str).unwrap_or("json");
+            let format = WireFormat::from_name(name)
+                .ok_or_else(|| format!("unknown format '{name}' (json|binary)"))?;
+            Ok(WireRequest::Hello { format })
+        }
         "ping" => Ok(WireRequest::Ping),
         "info" => Ok(WireRequest::Info),
         "stats" => Ok(WireRequest::Stats),
@@ -391,17 +408,7 @@ fn parse_batch_item(item: &Json, default: &PopsTopology) -> BatchItemRequest {
                     .ok_or_else(|| "'perm' entries must be integers".to_string())
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let pi = Permutation::new(image).map_err(|e| e.to_string())?;
-        match d.checked_mul(g) {
-            Some(n) if n == pi.len() => {}
-            _ => {
-                return Err(format!(
-                    "item permutation has length {}, POPS({d}, {g}) needs {}",
-                    pi.len(),
-                    d.saturating_mul(g)
-                ))
-            }
-        }
+        let pi = item_perm(d, g, Permutation::new(image).map_err(|e| e.to_string())?)?;
         let faults = match item.get("faults") {
             None => Vec::new(),
             Some(value) => parse_fault_ids(value, g)?,
@@ -421,6 +428,33 @@ fn parse_batch_item(item: &Json, default: &PopsTopology) -> BatchItemRequest {
             perm: Err(e),
             faults: Vec::new(),
         },
+    }
+}
+
+/// Checks a batch item's permutation against its shape's `n = d·g`.
+/// The shape itself is not validated: that is the topology lookup's job.
+pub(crate) fn item_perm(d: usize, g: usize, pi: Permutation) -> Result<Permutation, String> {
+    match d.checked_mul(g) {
+        Some(n) if n == pi.len() => Ok(pi),
+        _ => Err(format!(
+            "item permutation has length {}, POPS({d}, {g}) needs {}",
+            pi.len(),
+            d.saturating_mul(g)
+        )),
+    }
+}
+
+/// Checks a route's permutation against the `n` of the topology it is
+/// bound to.
+pub(crate) fn bind_perm(pi: Permutation, topology: &PopsTopology) -> Result<Permutation, String> {
+    if pi.len() == topology.n() {
+        Ok(pi)
+    } else {
+        Err(format!(
+            "permutation has length {}, {topology} needs {}",
+            pi.len(),
+            topology.n()
+        ))
     }
 }
 
@@ -454,7 +488,10 @@ fn parse_route(doc: &Json, topology: &PopsTopology) -> Result<WireRequest, Strin
             .iter()
             .map(|v| v.as_usize().ok_or("'perm' entries must be integers"))
             .collect::<Result<Vec<_>, _>>()?;
-        Permutation::new(image).map_err(|e| e.to_string())
+        bind_perm(
+            Permutation::new(image).map_err(|e| e.to_string())?,
+            topology,
+        )
     };
 
     // Degraded routing is only meaningful on the kinds the fault router
@@ -520,7 +557,12 @@ fn parse_route(doc: &Json, topology: &PopsTopology) -> Result<WireRequest, Strin
             }
         }
     };
-    Ok(WireRequest::Route { req, want_schedule })
+    Ok(WireRequest::Route {
+        d: topology.d(),
+        g: topology.g(),
+        req,
+        want_schedule,
+    })
 }
 
 /// The `hello` response acknowledging a format negotiation:

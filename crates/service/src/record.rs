@@ -55,13 +55,11 @@ use std::time::{Duration, Instant};
 
 use pops_network::PopsTopology;
 
-use crate::frame::{self, TAG_BATCH, TAG_JSON, TAG_ROUTE};
+use crate::frame;
 use crate::json::Json;
 use crate::metrics::RequestKind;
-use crate::proto::{
-    parse_request, requested_shape, BatchItemRequest, CacheAction, WireFormat, WireRequest,
-};
-use crate::server::{read_bounded_frame, read_bounded_line, FrameOutcome, LineOutcome};
+use crate::proto::{BatchItemRequest, CacheAction, WireFormat, WireRequest};
+use crate::server::{bind, decode, read_message, ReadOutcome, Request};
 use crate::service::ServiceRequest;
 
 /// The trace format version this build writes and the only one it reads.
@@ -532,6 +530,17 @@ pub fn recorded_batch(items: &[BatchItemRequest]) -> Option<RecordedOp> {
     }
 }
 
+/// The [`RecordedOp`] of one decoded request, for the ops a trace holds
+/// (`route`, `batch`, `cache`).
+pub(crate) fn recorded_op(request: &WireRequest) -> Option<RecordedOp> {
+    match request {
+        WireRequest::Route { d, g, req, .. } => Some(recorded_route(*d, *g, req)),
+        WireRequest::Batch { items, .. } => recorded_batch(items),
+        WireRequest::Cache { action } => Some(recorded_cache(*action)),
+        _ => None,
+    }
+}
+
 /// Builds the [`RecordedOp`] of one cache management request.
 pub fn recorded_cache(action: CacheAction) -> RecordedOp {
     RecordedOp::Cache { action }
@@ -731,44 +740,22 @@ fn proxy_connection(
     let mut reader = BufReader::new(client.try_clone()?);
     let mut to_server = server.try_clone()?;
     let mut format = WireFormat::Json;
-    loop {
+    while let ReadOutcome::Message(mut message) =
+        read_message(&mut reader, format, PROXY_MAX_BYTES, None, shutdown)?
+    {
+        let observed = observe(&message, format, default, recorder);
         match format {
             WireFormat::Json => {
-                match read_bounded_line(&mut reader, PROXY_MAX_BYTES, None, shutdown)? {
-                    LineOutcome::Line(line) => {
-                        let observed = observe_request_line(&line, format, default, recorder);
-                        writeln!(to_server, "{line}")?;
-                        to_server.flush()?;
-                        match observed {
-                            Observed::Shutdown => {
-                                shutdown.store(true, Ordering::SeqCst);
-                            }
-                            Observed::BinaryHello => format = WireFormat::Binary,
-                            Observed::Other => {}
-                        }
-                    }
-                    LineOutcome::Eof
-                    | LineOutcome::ShuttingDown
-                    | LineOutcome::TooLong { .. }
-                    | LineOutcome::TimedOut { .. } => break,
-                }
+                message.push(b'\n');
+                to_server.write_all(&message)?;
             }
-            WireFormat::Binary => {
-                match read_bounded_frame(&mut reader, PROXY_MAX_BYTES, None, shutdown)? {
-                    FrameOutcome::Frame(payload) => {
-                        let observed = observe_frame(&payload, default, recorder);
-                        frame::write_frame(&mut to_server, &payload)?;
-                        to_server.flush()?;
-                        if matches!(observed, Observed::Shutdown) {
-                            shutdown.store(true, Ordering::SeqCst);
-                        }
-                    }
-                    FrameOutcome::Eof
-                    | FrameOutcome::ShuttingDown
-                    | FrameOutcome::TooLong { .. }
-                    | FrameOutcome::TimedOut { .. } => break,
-                }
-            }
+            WireFormat::Binary => frame::write_frame(&mut to_server, &message)?,
+        }
+        to_server.flush()?;
+        match observed {
+            Observed::Shutdown => shutdown.store(true, Ordering::SeqCst),
+            Observed::BinaryHello => format = WireFormat::Binary,
+            Observed::Other => {}
         }
     }
     // FIN the upstream so it can wind the connection down; the pump exits
@@ -782,124 +769,43 @@ fn proxy_connection(
 enum Observed {
     /// A shutdown op — the upstream (and therefore the proxy) is done.
     Shutdown,
-    /// A successful-looking binary `hello` — switch the request parser.
+    /// A binary `hello` on a JSON connection — switch the framing.
     BinaryHello,
     /// Anything else.
     Other,
 }
 
-/// Parses one request line best-effort and records it if it is a
-/// decodable `route`/`batch`/`cache` op.
-fn observe_request_line(
-    line: &str,
+/// Decodes one forwarded message exactly as the server would, and
+/// records it if it is a `route`/`batch`/`cache` op the server could
+/// serve. A route's body is bound to a scratch topology of the shape it
+/// selects, once that shape is known to be constructible.
+fn observe(
+    message: &[u8],
     format: WireFormat,
     default: &PopsTopology,
     recorder: &TraceRecorder,
 ) -> Observed {
-    let Ok(doc) = Json::parse(line) else {
-        return Observed::Other;
-    };
-    match doc.get("op").and_then(Json::as_str) {
-        Some("shutdown") => Observed::Shutdown,
-        Some("hello") => {
-            if doc.get("format").and_then(Json::as_str) == Some(WireFormat::Binary.name()) {
-                Observed::BinaryHello
-            } else {
-                Observed::Other
-            }
-        }
-        Some("route") => {
-            let Ok((d, g)) = requested_shape(&doc, default) else {
-                return Observed::Other;
-            };
+    let request = match decode(default, format, message).1 {
+        Ok(Request::Route { d, g, body }) => {
             if d == 0 || g == 0 || d.checked_mul(g).is_none_or(|n| n > MAX_RECORD_N) {
                 return Observed::Other;
             }
-            let topology = PopsTopology::new(d, g);
-            if let Ok(WireRequest::Route { req, .. }) = parse_request(&doc, &topology) {
-                recorder.record(format, recorded_route(d, g, &req));
+            match bind(body, &PopsTopology::new(d, g)) {
+                Ok(request) => request,
+                Err(_) => return Observed::Other,
             }
-            Observed::Other
         }
-        Some("batch") => {
-            if let Ok(WireRequest::Batch { items, .. }) = parse_request(&doc, default) {
-                if let Some(op) = recorded_batch(&items) {
-                    recorder.record(format, op);
-                }
-            }
-            Observed::Other
-        }
-        Some("cache") => {
-            if let Ok(WireRequest::Cache { action }) = parse_request(&doc, default) {
-                recorder.record(format, recorded_cache(action));
-            }
-            Observed::Other
-        }
-        _ => Observed::Other,
-    }
-}
-
-/// Parses one binary frame best-effort and records what it carries.
-fn observe_frame(payload: &[u8], default: &PopsTopology, recorder: &TraceRecorder) -> Observed {
-    let Some((&tag, body)) = payload.split_first() else {
-        return Observed::Other;
+        Ok(Request::Op(request)) => request,
+        Err(_) => return Observed::Other,
     };
-    match tag {
-        TAG_JSON => match std::str::from_utf8(body) {
-            Ok(line) => observe_request_line(line, WireFormat::Binary, default, recorder),
-            Err(_) => Observed::Other,
-        },
-        TAG_ROUTE => {
-            if let Ok(route) = frame::decode_route_request(body) {
-                let (d, g) = match route.shape {
-                    (0, 0) => (default.d(), default.g()),
-                    shape => shape,
-                };
-                if let Ok(pi) = route.perm {
-                    if d > 0
-                        && g > 0
-                        && d.checked_mul(g)
-                            .is_some_and(|n| n <= MAX_RECORD_N && n == pi.len())
-                    {
-                        let req = match route.kind {
-                            RequestKind::SingleSlot => ServiceRequest::SingleSlot { pi },
-                            RequestKind::Direct => ServiceRequest::Direct { pi },
-                            RequestKind::Structured => ServiceRequest::Structured { pi },
-                            _ => ServiceRequest::Theorem2 { pi },
-                        };
-                        recorder.record(WireFormat::Binary, recorded_route(d, g, &req));
-                    }
-                }
-            }
-            Observed::Other
-        }
-        TAG_BATCH => {
-            if let Ok((frame_items, _)) = frame::decode_batch_request(body) {
-                let items: Vec<RecordedBatchItem> = frame_items
-                    .into_iter()
-                    .filter_map(|item| {
-                        let (d, g) = match item.shape {
-                            (0, 0) => (default.d(), default.g()),
-                            shape => shape,
-                        };
-                        let pi = item.perm.ok()?;
-                        if d == 0 || g == 0 || d.checked_mul(g) != Some(pi.len()) {
-                            return None;
-                        }
-                        Some(RecordedBatchItem {
-                            d,
-                            g,
-                            perm: pi.as_slice().to_vec(),
-                            faults: Vec::new(),
-                        })
-                    })
-                    .collect();
-                if !items.is_empty() {
-                    recorder.record(WireFormat::Binary, RecordedOp::Batch { items });
-                }
-            }
-            Observed::Other
-        }
+    if let Some(op) = recorded_op(&request) {
+        recorder.record(format, op);
+    }
+    match request {
+        WireRequest::Shutdown => Observed::Shutdown,
+        WireRequest::Hello {
+            format: WireFormat::Binary,
+        } => Observed::BinaryHello,
         _ => Observed::Other,
     }
 }

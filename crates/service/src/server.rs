@@ -60,18 +60,19 @@ use crate::exposition::{self, Exposition};
 use crate::frame::{self, TAG_BATCH, TAG_JSON, TAG_ROUTE};
 use crate::json::Json;
 use crate::metrics::{MetricsSnapshot, RequestKind, ServiceMetrics};
-use crate::proto::BatchItemRequest;
 use crate::proto::{
-    attach_trace, batch_item_error, batch_item_response, batch_summary_response,
+    attach_trace, batch_item_error, batch_item_response, batch_summary_response, bind_perm,
     cache_persist_response, cache_stats_response, error_response, hello_response, info_response,
-    overloaded_response, parse_request, pong_response, requested_shape, route_response,
-    shutdown_response, stats_response, CacheAction, WireErrorKind, WireFormat, WireRequest,
+    item_perm, overloaded_response, parse_request, pong_response, requested_shape, route_response,
+    shutdown_response, stats_response, BatchItemRequest, CacheAction, WireErrorKind, WireFormat,
+    WireRequest,
 };
+use crate::record;
 use crate::router::{RouterError, TopologyRouter, TopologyRouterConfig};
-use crate::service::{RoutingService, ServiceRequest};
+use crate::service::{RoutingService, ServiceReply, ServiceRequest};
 use crate::trace::{RequestTrace, SlowLog, SlowVerdict};
-use pops_core::{FaultRoutingError, RoutingError};
-use pops_network::{FaultSet, PopsTopology};
+use pops_core::{FaultRoutingError, RoutingError, RoutingPlan};
+use pops_network::{FaultSet, PopsTopology, Schedule};
 use pops_permutation::Permutation;
 
 /// Limits and timeouts of one [`serve_with_config`] loop.
@@ -142,11 +143,11 @@ pub struct ServerConfig {
     /// `0..g²`; [`serve_router`] refuses to start otherwise. Empty — the
     /// default — declares every topology healthy.
     pub baseline_faults: Vec<((usize, usize), Vec<usize>)>,
-    /// Append-only JSONL trace file every decoded route/batch/cache
-    /// request is teed to (see [`crate::record`]) — the wire story of
-    /// `pops serve --record trace.jsonl`. Recording is a pure observer:
-    /// responses, schedules, and errors are byte-identical with it on or
-    /// off. `None` — the default — records nothing.
+    /// Append-only JSONL trace file every route/batch/cache request
+    /// accepted for service is teed to (see [`crate::record`]) — the
+    /// wire story of `pops serve --record trace.jsonl`. Recording is a
+    /// pure observer: responses, schedules, and errors are byte-identical
+    /// with it on or off. `None` — the default — records nothing.
     pub record_path: Option<PathBuf>,
 }
 
@@ -354,8 +355,9 @@ struct ServeState {
     /// cannot mint threads faster than they retire.
     reject_threads: AtomicU64,
     /// The request-trace tee, present when `record_path` is set. Purely
-    /// observational: hooks fire after decode and never alter responses.
-    recorder: Option<crate::record::TraceRecorder>,
+    /// observational: `execute` feeds it once a request is accepted for
+    /// service, and it never alters responses.
+    recorder: Option<record::TraceRecorder>,
 }
 
 struct ConnHandle {
@@ -363,6 +365,48 @@ struct ConnHandle {
 }
 
 impl ServeState {
+    fn new(
+        router: Arc<TopologyRouter>,
+        config: ServerConfig,
+        listener_addr: SocketAddr,
+    ) -> std::io::Result<Self> {
+        // Refuse a misconfigured baseline up front: `fail_coupler` panics
+        // on an out-of-range id, and a fault list that silently dropped
+        // entries would serve schedules that drive couplers the operator
+        // declared dead.
+        for ((d, g), ids) in &config.baseline_faults {
+            let couplers = g.saturating_mul(*g);
+            if let Some(&c) = ids.iter().find(|&&c| c >= couplers) {
+                return Err(std::io::Error::other(format!(
+                    "baseline fault set for {d}x{g}: coupler {c} out of range (couplers: 0..{couplers})"
+                )));
+            }
+        }
+        // Open the trace file before accepting anything: an unwritable
+        // recording target is a boot error, not a silently-dropped tee.
+        let recorder = match &config.record_path {
+            None => None,
+            Some(path) => Some(record::TraceRecorder::create(path).map_err(|e| {
+                std::io::Error::other(format!("cannot record to {}: {e}", path.display()))
+            })?),
+        };
+        Ok(Self {
+            router,
+            server_metrics: Arc::new(ServiceMetrics::new()),
+            listener_addr,
+            started: Instant::now(),
+            slow_log: config.slow_threshold.map(SlowLog::new),
+            overload: OverloadControl::from_config(&config),
+            config,
+            shutdown: AtomicBool::new(false),
+            conns: Mutex::new(HashMap::new()),
+            finished: Mutex::new(Vec::new()),
+            requests: AtomicU64::new(0),
+            reject_threads: AtomicU64::new(0),
+            recorder,
+        })
+    }
+
     /// Flips the shutdown flag and pokes the accept loop. Handlers notice
     /// the flag within [`SHUTDOWN_POLL`] (or finish their in-flight
     /// response first); [`serve_with_config`] joins them all.
@@ -422,43 +466,9 @@ pub fn serve_router(
     router: Arc<TopologyRouter>,
     config: ServerConfig,
 ) -> std::io::Result<ServerSummary> {
-    // Refuse a misconfigured baseline up front: `fail_coupler` panics on
-    // an out-of-range id, and a fault list that silently dropped entries
-    // would serve schedules that drive couplers the operator declared
-    // dead.
-    for ((d, g), ids) in &config.baseline_faults {
-        let couplers = g.saturating_mul(*g);
-        if let Some(&c) = ids.iter().find(|&&c| c >= couplers) {
-            return Err(std::io::Error::other(format!(
-                "baseline fault set for {d}x{g}: coupler {c} out of range (couplers: 0..{couplers})"
-            )));
-        }
-    }
-    let metrics = Arc::new(ServiceMetrics::new());
     let listener_addr = listener.local_addr()?;
-    // Open the trace file before accepting anything: an unwritable
-    // recording target is a boot error, not a silently-dropped tee.
-    let recorder = match &config.record_path {
-        None => None,
-        Some(path) => Some(crate::record::TraceRecorder::create(path).map_err(|e| {
-            std::io::Error::other(format!("cannot record to {}: {e}", path.display()))
-        })?),
-    };
-    let state = Arc::new(ServeState {
-        router,
-        server_metrics: metrics.clone(),
-        listener_addr,
-        started: Instant::now(),
-        slow_log: config.slow_threshold.map(SlowLog::new),
-        overload: OverloadControl::from_config(&config),
-        config,
-        shutdown: AtomicBool::new(false),
-        conns: Mutex::new(HashMap::new()),
-        finished: Mutex::new(Vec::new()),
-        requests: AtomicU64::new(0),
-        reject_threads: AtomicU64::new(0),
-        recorder,
-    });
+    let state = Arc::new(ServeState::new(router, config, listener_addr)?);
+    let metrics = state.server_metrics.clone();
     // Optional metrics sidecar: a second listener on the same interface
     // that only ever answers HTTP GETs, so a scraper never competes with
     // wire clients for the main accept loop or the connection cap.
@@ -665,50 +675,61 @@ fn close_after_error(writer: &mut TcpStream) {
     }
 }
 
-/// How reading one request line ended. Shared with the recording proxy
-/// ([`crate::record`]), which reads client traffic under the same caps.
-pub(crate) enum LineOutcome {
-    /// A complete line (newline stripped, possibly invalid JSON).
-    Line(String),
-    /// The peer closed the connection (mid-line partials are dropped).
+/// How reading one request message ended. Shared with the recording
+/// proxy ([`crate::record`]), which reads client traffic under the same
+/// caps.
+pub(crate) enum ReadOutcome {
+    /// A complete message: a line with its `\n` (and any `\r`) stripped,
+    /// or a frame payload with its 4-byte length prefix stripped.
+    Message(Vec<u8>),
+    /// The peer closed the connection (partial messages are dropped).
     Eof,
-    /// The line exceeded the configured cap; carries the bytes consumed
-    /// before giving up, so the traffic counters still see them.
+    /// The message exceeded the configured cap; carries the bytes
+    /// consumed before giving up, so the traffic counters still see them.
     TooLong { consumed: u64 },
-    /// No complete line arrived within the read deadline; carries the
+    /// No complete message arrived within the read deadline; carries the
     /// partial bytes consumed while waiting.
     TimedOut { consumed: u64 },
-    /// The server is shutting down and no bytes were pending — the
-    /// handler should close quietly.
+    /// The server is shutting down and no complete message was pending —
+    /// the handler should close quietly.
     ShuttingDown,
 }
 
-/// Reads one `\n`-terminated line, enforcing the length cap and the
-/// whole-line deadline. Waits in [`SHUTDOWN_POLL`] slices so the shutdown
-/// flag is noticed promptly — but only on a tick where no data was
-/// pending, and even then only after one extra grace tick (catching a
-/// request segment that was in flight when the flag flipped). A request
-/// line delivered before shutdown is therefore read and served, and no
-/// socket is ever torn down mid-request; only partial lines are dropped.
-pub(crate) fn read_bounded_line(
+/// What one chunk of input did to the message being assembled.
+enum Step {
+    More,
+    Done,
+    /// Over the cap, having consumed this many bytes in total.
+    TooLong(u64),
+}
+
+/// Reads one message in `format` — a `\n`-terminated line or a
+/// length-prefixed frame — enforcing the size cap and the whole-message
+/// deadline. Waits in [`SHUTDOWN_POLL`] slices so the shutdown flag is
+/// noticed promptly — but only on a tick where no data was pending, and
+/// even then only after one extra grace tick (catching a request segment
+/// that was in flight when the flag flipped). A message delivered before
+/// shutdown is therefore read and served, and no socket is ever torn
+/// down mid-request; only partial messages are dropped.
+pub(crate) fn read_message(
     reader: &mut BufReader<TcpStream>,
+    format: WireFormat,
     max_bytes: usize,
     deadline: Option<Duration>,
     shutdown: &AtomicBool,
-) -> std::io::Result<LineOutcome> {
-    let mut line: Vec<u8> = Vec::new();
+) -> std::io::Result<ReadOutcome> {
+    let mut message: Vec<u8> = Vec::new();
     let started = Instant::now();
     let mut shutdown_grace_used = false;
     loop {
-        let consumed = line.len() as u64;
         let mut slice = SHUTDOWN_POLL;
         if let Some(budget) = deadline {
             match budget.checked_sub(started.elapsed()) {
-                None => return Ok(LineOutcome::TimedOut { consumed }),
-                Some(remaining) if remaining.is_zero() => {
-                    return Ok(LineOutcome::TimedOut { consumed })
+                Some(remaining) if !remaining.is_zero() => slice = slice.min(remaining),
+                _ => {
+                    let consumed = message.len() as u64;
+                    return Ok(ReadOutcome::TimedOut { consumed });
                 }
-                Some(remaining) => slice = slice.min(remaining),
             }
         }
         reader.get_ref().set_read_timeout(Some(slice))?;
@@ -722,10 +743,10 @@ pub(crate) fn read_bounded_line(
             {
                 // Nothing arrived this tick: notice a shutdown (after one
                 // grace tick for a segment racing the flag), otherwise
-                // keep waiting towards the line deadline.
+                // keep waiting towards the deadline.
                 if shutdown.load(Ordering::SeqCst) {
                     if shutdown_grace_used {
-                        return Ok(LineOutcome::ShuttingDown);
+                        return Ok(ReadOutcome::ShuttingDown);
                     }
                     shutdown_grace_used = true;
                 }
@@ -735,400 +756,280 @@ pub(crate) fn read_bounded_line(
             Err(e) => return Err(e),
         };
         if available.is_empty() {
-            return Ok(LineOutcome::Eof);
+            return Ok(ReadOutcome::Eof);
         }
-        match available.iter().position(|&b| b == b'\n') {
-            Some(newline) => {
-                if line.len() + newline > max_bytes {
-                    return Ok(LineOutcome::TooLong {
-                        consumed: (line.len() + newline) as u64,
-                    });
-                }
-                // lint: allow(panic-freedom) -- `newline` was returned by position() over `available`
-                line.extend_from_slice(&available[..newline]);
-                reader.consume(newline + 1);
-                if line.last() == Some(&b'\r') {
-                    line.pop();
-                }
-                // Invalid UTF-8 flows through lossily and fails JSON
-                // parsing with a structured `parse` error.
-                return Ok(LineOutcome::Line(
-                    String::from_utf8_lossy(&line).into_owned(),
-                ));
-            }
-            None => {
-                let chunk = available.len();
-                if line.len() + chunk > max_bytes {
-                    return Ok(LineOutcome::TooLong {
-                        consumed: (line.len() + chunk) as u64,
-                    });
-                }
-                line.extend_from_slice(available);
-                reader.consume(chunk);
-                // Still mid-line: a shutdown abandons the partial (only
-                // *complete* lines are owed a response). Without this, a
-                // client dripping bytes would dodge the WouldBlock tick
-                // below and stall the drain for the whole read deadline —
-                // or forever with timeouts disabled.
-                if shutdown.load(Ordering::SeqCst) {
-                    return Ok(LineOutcome::ShuttingDown);
-                }
-            }
+        let (used, step) = match format {
+            WireFormat::Json => line_step(&mut message, available, max_bytes),
+            WireFormat::Binary => frame_step(&mut message, available, max_bytes),
+        };
+        reader.consume(used);
+        match step {
+            Step::Done => return Ok(ReadOutcome::Message(message)),
+            Step::TooLong(consumed) => return Ok(ReadOutcome::TooLong { consumed }),
+            // Still mid-message: a shutdown abandons the partial (only
+            // *complete* messages are owed a response). Without this, a
+            // client dripping bytes would dodge the idle tick above and
+            // stall the drain for the whole read deadline — or forever
+            // with timeouts disabled.
+            Step::More if shutdown.load(Ordering::SeqCst) => return Ok(ReadOutcome::ShuttingDown),
+            Step::More => {}
         }
     }
 }
 
-/// How reading one binary frame ended — the frame-mode mirror of
-/// [`LineOutcome`], under the same caps and deadlines.
-pub(crate) enum FrameOutcome {
-    /// A complete frame payload (the 4-byte length prefix stripped).
-    Frame(Vec<u8>),
-    /// The peer closed the connection (mid-frame partials are dropped).
-    Eof,
-    /// The declared payload length exceeded the configured cap; carries
-    /// the prefix bytes consumed.
-    TooLong { consumed: u64 },
-    /// No complete frame arrived within the read deadline; carries the
-    /// partial bytes consumed while waiting.
-    TimedOut { consumed: u64 },
-    /// The server is shutting down — the handler should close quietly.
-    ShuttingDown,
+/// Line framing: takes `available` up to the next `\n`, refusing a line
+/// longer than `max_bytes` (newline excluded). Returns the bytes used.
+fn line_step(line: &mut Vec<u8>, available: &[u8], max_bytes: usize) -> (usize, Step) {
+    let Some(newline) = available.iter().position(|&b| b == b'\n') else {
+        let total = line.len() + available.len();
+        if total > max_bytes {
+            return (0, Step::TooLong(total as u64));
+        }
+        line.extend_from_slice(available);
+        return (available.len(), Step::More);
+    };
+    if line.len() + newline > max_bytes {
+        return (0, Step::TooLong((line.len() + newline) as u64));
+    }
+    // lint: allow(panic-freedom) -- `newline` was returned by position() over `available`
+    line.extend_from_slice(&available[..newline]);
+    if line.last() == Some(&b'\r') {
+        line.pop();
+    }
+    (newline + 1, Step::Done)
 }
 
-/// Reads one length-prefixed frame, enforcing the payload cap and the
-/// whole-frame deadline with the same shutdown-poll contract as
-/// [`read_bounded_line`]: a frame fully delivered before shutdown is
-/// read and served; only partial frames are dropped. The cap is checked
-/// against the **declared** length as soon as the 4-byte prefix arrives,
-/// so an oversized frame is refused before buffering any of its payload.
-pub(crate) fn read_bounded_frame(
-    reader: &mut BufReader<TcpStream>,
-    max_bytes: usize,
-    deadline: Option<Duration>,
-    shutdown: &AtomicBool,
-) -> std::io::Result<FrameOutcome> {
-    let mut buf: Vec<u8> = Vec::new();
-    let mut payload_len: Option<usize> = None;
-    let started = Instant::now();
-    let mut shutdown_grace_used = false;
-    loop {
-        let consumed = buf.len() as u64;
-        let mut slice = SHUTDOWN_POLL;
-        if let Some(budget) = deadline {
-            match budget.checked_sub(started.elapsed()) {
-                None => return Ok(FrameOutcome::TimedOut { consumed }),
-                Some(remaining) if remaining.is_zero() => {
-                    return Ok(FrameOutcome::TimedOut { consumed })
-                }
-                Some(remaining) => slice = slice.min(remaining),
-            }
+/// Frame framing: takes the 4-byte length prefix, then exactly the
+/// payload it declares (pipelined frames stay buffered). The cap is
+/// checked against the **declared** length as soon as the prefix
+/// arrives, so an oversized frame is refused before any of its payload
+/// is buffered. Returns the bytes used.
+fn frame_step(frame: &mut Vec<u8>, available: &[u8], max_bytes: usize) -> (usize, Step) {
+    let declared = |frame: &[u8]| {
+        frame
+            .first_chunk::<4>()
+            .map(|h| u32::from_le_bytes(*h) as usize)
+    };
+    let needed = match declared(frame) {
+        None => 4 - frame.len(),
+        Some(len) => 4 + len - frame.len(),
+    };
+    let take = needed.min(available.len());
+    // lint: allow(panic-freedom) -- `take` is clamped to available.len() on the line above
+    frame.extend_from_slice(&available[..take]);
+    match declared(frame) {
+        Some(len) if len > max_bytes => (take, Step::TooLong(4)),
+        Some(len) if frame.len() == 4 + len => {
+            frame.drain(..4);
+            (take, Step::Done)
         }
-        reader.get_ref().set_read_timeout(Some(slice))?;
-        let available = match reader.fill_buf() {
-            Ok(chunk) => chunk,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if shutdown.load(Ordering::SeqCst) {
-                    if shutdown_grace_used {
-                        return Ok(FrameOutcome::ShuttingDown);
-                    }
-                    shutdown_grace_used = true;
-                }
-                continue;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        if available.is_empty() {
-            return Ok(FrameOutcome::Eof);
-        }
-        // Consume only this frame's bytes; pipelined frames stay buffered.
-        let needed = match payload_len {
-            None => 4 - buf.len(),
-            Some(len) => 4 + len - buf.len(),
-        };
-        let take = needed.min(available.len());
-        // lint: allow(panic-freedom) -- `take` is clamped to available.len() on the line above
-        buf.extend_from_slice(&available[..take]);
-        reader.consume(take);
-        if let (None, Some(header)) = (payload_len, buf.first_chunk::<4>()) {
-            let len = u32::from_le_bytes(*header) as usize;
-            if len > max_bytes {
-                return Ok(FrameOutcome::TooLong { consumed: 4 });
-            }
-            payload_len = Some(len);
-        }
-        if let Some(len) = payload_len {
-            if buf.len() == 4 + len {
-                buf.drain(..4);
-                return Ok(FrameOutcome::Frame(buf));
-            }
-        }
-        // Still mid-frame: a shutdown abandons the partial (only complete
-        // frames are owed a response), exactly like the line reader.
-        if shutdown.load(Ordering::SeqCst) {
-            return Ok(FrameOutcome::ShuttingDown);
-        }
+        _ => (take, Step::More),
     }
 }
 
-/// One response unit: a JSON document (a line on JSON connections, a
-/// `TAG_JSON` frame on binary ones) or an already-encoded binary frame
-/// payload (binary connections only — the JSON dispatcher never emits
-/// these).
-enum Outgoing {
-    Json(Json),
-    Frame(Vec<u8>),
-}
-
-/// Writes one batch of responses in the connection's negotiated format,
-/// returning the bytes put on the wire (newlines and length prefixes
-/// included) for the per-format traffic counters.
-fn write_responses(
-    writer: &mut TcpStream,
+/// One connection's state between requests.
+struct Conn {
+    id: u64,
+    peer: Option<IpAddr>,
     format: WireFormat,
-    responses: &[Outgoing],
-) -> std::io::Result<u64> {
-    // The whole batch goes out in ONE write: per-response (or worse,
-    // per-fragment) writes on a raw socket without TCP_NODELAY let
-    // Nagle hold the tail segment until the peer's delayed ACK fires —
-    // a ~40 ms stall per reply that the soak harness flags as p99.
-    let mut wire: Vec<u8> = Vec::new();
-    for response in responses {
-        match (format, response) {
-            (WireFormat::Json, Outgoing::Json(doc)) => {
-                wire.extend_from_slice(doc.to_string().as_bytes());
-                wire.push(b'\n');
-            }
-            (WireFormat::Json, Outgoing::Frame(_)) => {
-                // The JSON dispatcher never queues binary frames; refuse
-                // the write rather than panic the connection thread.
-                return Err(std::io::Error::other(
-                    "internal: binary frame queued on a JSON connection",
-                ));
-            }
-            (WireFormat::Binary, Outgoing::Json(doc)) => {
-                let payload = frame::json_payload(doc);
-                wire.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-                wire.extend_from_slice(&payload);
-            }
-            (WireFormat::Binary, Outgoing::Frame(payload)) => {
-                wire.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-                wire.extend_from_slice(payload);
-            }
-        }
-    }
-    writer.write_all(&wire)?;
-    writer.flush()?;
-    Ok(wire.len() as u64)
+    /// Requests served so far: the sequence number in trace ids.
+    seq: u64,
+    /// The single write buffer every reply is encoded into, reused
+    /// across requests.
+    out: Vec<u8>,
+    /// Reply documents already rendered into `out`, freed only after the
+    /// write: freeing a large schedule tree takes tens of microseconds,
+    /// and the client should not wait for it.
+    spent: Vec<Json>,
 }
 
-/// Records the typed `kind` of every `ok: false` JSON response about to
-/// go on the wire, feeding the `error_kind`-labelled exposition family.
-fn record_wire_errors(metrics: &ServiceMetrics, responses: &[Outgoing]) {
-    for response in responses {
-        let Outgoing::Json(doc) = response else {
-            continue;
-        };
-        if doc.get("ok").and_then(Json::as_bool) != Some(false) {
-            continue;
+impl Conn {
+    fn new(id: u64, peer: Option<IpAddr>) -> Self {
+        Self {
+            id,
+            peer,
+            format: WireFormat::Json,
+            seq: 0,
+            out: Vec::new(),
+            spent: Vec::new(),
         }
-        if let Some(kind) = doc
-            .get("kind")
-            .and_then(Json::as_str)
-            .and_then(WireErrorKind::from_name)
-        {
-            metrics.record_wire_error(kind);
+    }
+
+    /// The codec of replies that are JSON documents whatever the request
+    /// was: errors and control ops.
+    fn codec(&self) -> Codec {
+        match self.format {
+            WireFormat::Json => Codec::Line,
+            WireFormat::Binary => Codec::JsonFrame,
         }
     }
 }
 
-/// One fully-read request's worth of work: its trace, the responses to
-/// write, the request bytes consumed, whether the connection should stop,
-/// and a wire-format switch negotiated by a `hello`.
-type Exchange = (RequestTrace, Vec<Outgoing>, u64, bool, Option<WireFormat>);
-
+/// Framing plus I/O for one connection: read a complete message, serve
+/// it, repeat. Transport failures (timeout, oversize) are answered in
+/// the connection's format and close it.
 fn handle_connection(stream: TcpStream, state: &ServeState, conn_id: u64) -> std::io::Result<()> {
     if state.config.tcp_nodelay {
         let _ = stream.set_nodelay(true);
     }
     stream.set_write_timeout(state.config.write_timeout)?;
     let metrics = &state.server_metrics;
-    let peer = stream.peer_addr().ok().map(|addr| addr.ip());
+    let mut conn = Conn::new(conn_id, stream.peer_addr().ok().map(|addr| addr.ip()));
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
-    let mut format = WireFormat::Json;
-    let mut seq: u64 = 0;
     loop {
         // No shutdown check here: already-delivered requests (buffered or
         // still a segment in flight) must be served first, and the reader
         // notices the flag itself within two poll ticks.
-        let fatal = |kind: WireErrorKind, msg: String, consumed: u64| (kind, msg, consumed);
-        let exchange: Result<Exchange, _> = match format {
-            WireFormat::Json => {
-                let outcome = read_bounded_line(
-                    &mut reader,
-                    state.config.max_line_bytes,
-                    state.config.read_timeout,
-                    &state.shutdown,
-                )?;
-                match outcome {
-                    LineOutcome::Eof | LineOutcome::ShuttingDown => break,
-                    LineOutcome::TimedOut { consumed } => {
-                        metrics.record_read_timeout();
-                        Err(fatal(
-                            WireErrorKind::Timeout,
-                            format!(
-                                "no complete request line within {:?}",
-                                state.config.read_timeout.unwrap_or_default()
-                            ),
-                            consumed,
-                        ))
-                    }
-                    LineOutcome::TooLong { consumed } => {
-                        metrics.record_oversized_line();
-                        Err(fatal(
-                            WireErrorKind::TooLarge,
-                            format!(
-                                "request line exceeds the {}-byte cap",
-                                state.config.max_line_bytes
-                            ),
-                            consumed,
-                        ))
-                    }
-                    LineOutcome::Line(line) => {
-                        if line.trim().is_empty() {
-                            continue;
-                        }
-                        // A scraper, not a wire client: answer the
-                        // HTTP request and close.
-                        if let Some(path) = exposition::http_request_path(&line) {
-                            let bytes_out = answer_http(&mut writer, state, path);
-                            metrics.record_wire_bytes(false, line.len() as u64 + 1, bytes_out);
-                            break;
-                        }
-                        seq += 1;
-                        let mut trace = RequestTrace::start(conn_id, seq);
-                        state.requests.fetch_add(1, Ordering::Relaxed);
-                        let (responses, stop, negotiated) =
-                            respond(&line, state, format, peer, &mut trace);
-                        Ok((trace, responses, line.len() as u64 + 1, stop, negotiated))
-                    }
-                }
-            }
-            WireFormat::Binary => {
-                let outcome = read_bounded_frame(
-                    &mut reader,
-                    state.config.max_line_bytes,
-                    state.config.read_timeout,
-                    &state.shutdown,
-                )?;
-                match outcome {
-                    FrameOutcome::Eof | FrameOutcome::ShuttingDown => break,
-                    FrameOutcome::TimedOut { consumed } => {
-                        metrics.record_read_timeout();
-                        Err(fatal(
-                            WireErrorKind::Timeout,
-                            format!(
-                                "no complete frame within {:?}",
-                                state.config.read_timeout.unwrap_or_default()
-                            ),
-                            consumed,
-                        ))
-                    }
-                    FrameOutcome::TooLong { consumed } => {
-                        metrics.record_oversized_line();
-                        Err(fatal(
-                            WireErrorKind::TooLarge,
-                            format!(
-                                "frame exceeds the {}-byte payload cap",
-                                state.config.max_line_bytes
-                            ),
-                            consumed,
-                        ))
-                    }
-                    FrameOutcome::Frame(payload) => {
-                        seq += 1;
-                        let mut trace = RequestTrace::start(conn_id, seq);
-                        state.requests.fetch_add(1, Ordering::Relaxed);
-                        let (responses, stop) = respond_frame(&payload, state, peer, &mut trace);
-                        Ok((trace, responses, payload.len() as u64 + 4, stop, None))
-                    }
-                }
-            }
+        let config = &state.config;
+        let outcome = read_message(
+            &mut reader,
+            conn.format,
+            config.max_line_bytes,
+            config.read_timeout,
+            &state.shutdown,
+        )?;
+        let (unit, cap) = match conn.format {
+            WireFormat::Json => ("request line", "cap"),
+            WireFormat::Binary => ("frame", "payload cap"),
         };
-        match exchange {
-            Err((kind, msg, bytes_in)) => {
-                // Fatal transport-level problem: answer in the connection's
-                // negotiated format (best effort) and close. The partial
-                // request bytes consumed before giving up still count.
-                metrics.record_wire_error(kind);
-                let responses = [Outgoing::Json(error_response(kind, msg))];
-                let bytes_out = write_responses(&mut writer, format, &responses).unwrap_or(0);
-                metrics.record_wire_bytes(format == WireFormat::Binary, bytes_in, bytes_out);
-                close_after_error(&mut writer);
-                break;
+        let (error, consumed) = match outcome {
+            ReadOutcome::Eof | ReadOutcome::ShuttingDown => break,
+            ReadOutcome::TimedOut { consumed } => {
+                metrics.record_read_timeout();
+                let budget = config.read_timeout.unwrap_or_default();
+                let msg = format!("no complete {unit} within {budget:?}");
+                (WireError::new(WireErrorKind::Timeout, msg), consumed)
             }
-            Ok((mut trace, mut responses, bytes_in, stop, negotiated)) => {
-                record_wire_errors(metrics, &responses);
-                // Echo the trace id on every JSON response so a client
-                // can quote it back and an operator can match it to the
-                // slow-request log. (Dense binary reply frames have no
-                // spare field; their trace ids appear in the log only.)
-                for response in &mut responses {
-                    if let Outgoing::Json(doc) = response {
-                        let tagged =
-                            attach_trace(std::mem::replace(doc, Json::Bool(false)), trace.id());
-                        *doc = tagged;
+            ReadOutcome::TooLong { consumed } => {
+                metrics.record_oversized_line();
+                let msg = format!("{unit} exceeds the {}-byte {cap}", config.max_line_bytes);
+                (WireError::new(WireErrorKind::TooLarge, msg), consumed)
+            }
+            ReadOutcome::Message(message) => {
+                if conn.format == WireFormat::Json {
+                    let line = String::from_utf8_lossy(&message);
+                    if line.trim().is_empty() {
+                        continue;
+                    }
+                    // A scraper, not a wire client: answer the HTTP
+                    // request and close.
+                    if let Some(path) = exposition::http_request_path(&line) {
+                        let bytes_out = answer_http(&mut writer, state, path);
+                        metrics.record_wire_bytes(false, message.len() as u64 + 1, bytes_out);
+                        break;
                     }
                 }
-                // One request may stream several responses (the batch op:
-                // one per item, then the summary) — written in order on
-                // this connection, each under the write timeout.
-                let bytes_out = write_responses(&mut writer, format, &responses)?;
-                metrics.record_wire_bytes(format == WireFormat::Binary, bytes_in, bytes_out);
-                trace.stage("serialize");
-                if let Some(slow_log) = &state.slow_log {
-                    match slow_log.observe(&trace) {
-                        SlowVerdict::Fast => {}
-                        SlowVerdict::Emit(line) => {
-                            metrics.record_slow_trace(true);
-                            eprintln!("{line}");
-                        }
-                        SlowVerdict::Suppressed => metrics.record_slow_trace(false),
-                    }
-                }
-                if let Some(new_format) = negotiated {
-                    if new_format == WireFormat::Binary && format != WireFormat::Binary {
-                        metrics.record_binary_negotiated();
-                    }
-                    format = new_format;
-                }
+                let (_, stop) = serve_message(state, &mut conn, &message, &mut writer)?;
                 if stop {
                     state.initiate_shutdown();
                     break;
                 }
+                continue;
             }
-        }
+        };
+        // Fatal transport-level problem: answer in the connection's
+        // format (best effort) and close. The partial request bytes
+        // consumed before giving up still count.
+        metrics.record_wire_error(error.kind);
+        conn.out.clear();
+        let codec = conn.codec();
+        put_doc(&mut conn.out, &mut conn.spent, codec, error.into_json());
+        let bytes_out = match writer.write_all(&conn.out) {
+            Ok(()) => conn.out.len() as u64,
+            Err(_) => 0,
+        };
+        metrics.record_wire_bytes(conn.format == WireFormat::Binary, consumed, bytes_out);
+        close_after_error(&mut writer);
+        break;
     }
     Ok(())
 }
 
-/// The `(d, g)`-selected backend for one request, or the error line to
-/// answer with: unacceptable shapes are `bad-request`, a full registry of
-/// pinned topologies is `topology-limit`.
+/// Serves one complete request message: decode → execute → encode into
+/// the connection's write buffer, then one write. Returns the finished
+/// trace and whether the request asked the server to stop.
+fn serve_message(
+    state: &ServeState,
+    conn: &mut Conn,
+    message: &[u8],
+    writer: &mut impl Write,
+) -> std::io::Result<(RequestTrace, bool)> {
+    let metrics = &state.server_metrics;
+    conn.seq += 1;
+    let mut trace = RequestTrace::start(conn.id, conn.seq);
+    state.requests.fetch_add(1, Ordering::Relaxed);
+    let (codec, request) = decode(&state.router.default_topology(), conn.format, message);
+    trace.stage("parse");
+    let result = request.and_then(|request| execute(state, conn, request, &mut trace));
+    match &result {
+        Err(e) => metrics.record_wire_error(e.kind),
+        Ok(Reply::Batch(batch)) => {
+            for e in batch.items.iter().filter_map(|item| item.as_ref().err()) {
+                metrics.record_wire_error(e.kind);
+            }
+        }
+        Ok(_) => {}
+    }
+    let (switch_to, stop) = match &result {
+        Ok(Reply::Hello(format)) => (Some(*format), false),
+        Ok(Reply::Shutdown) => (None, true),
+        _ => (None, false),
+    };
+    conn.out.clear();
+    encode(&mut conn.out, &mut conn.spent, codec, result, trace.id());
+    trace.stage("encode");
+    // The whole reply goes out in ONE write: per-document (or worse,
+    // per-fragment) writes on a raw socket without TCP_NODELAY let Nagle
+    // hold the tail segment until the peer's delayed ACK fires — a
+    // ~40 ms stall per reply that the soak harness flags as p99.
+    writer.write_all(&conn.out)?;
+    writer.flush()?;
+    let (binary, framing) = match conn.format {
+        WireFormat::Json => (false, 1),
+        WireFormat::Binary => (true, 4),
+    };
+    metrics.record_wire_bytes(
+        binary,
+        message.len() as u64 + framing,
+        conn.out.len() as u64,
+    );
+    trace.stage("write");
+    conn.spent.clear();
+    if let Some(slow_log) = &state.slow_log {
+        match slow_log.observe(&trace) {
+            SlowVerdict::Fast => {}
+            SlowVerdict::Emit(line) => {
+                metrics.record_slow_trace(true);
+                eprintln!("{line}");
+            }
+            SlowVerdict::Suppressed => metrics.record_slow_trace(false),
+        }
+    }
+    // The acknowledgement went out in the old format; the switch takes
+    // effect on the next message.
+    if let Some(format) = switch_to {
+        if format == WireFormat::Binary && conn.format != WireFormat::Binary {
+            metrics.record_binary_negotiated();
+        }
+        conn.format = format;
+    }
+    Ok((trace, stop))
+}
+
+/// The `(d, g)`-selected backend for one request: unacceptable shapes
+/// are `bad-request`, a full registry of pinned topologies is
+/// `topology-limit`.
 fn select_service(
     state: &ServeState,
     d: usize,
     g: usize,
-) -> Result<Arc<RoutingService>, (WireErrorKind, String)> {
+) -> Result<Arc<RoutingService>, WireError> {
     state.router.get(d, g).map_err(|e| match e {
-        RouterError::BadShape(_) => (WireErrorKind::BadRequest, e.to_string()),
-        RouterError::AtCapacity { .. } => (WireErrorKind::TopologyLimit, e.to_string()),
+        RouterError::BadShape(_) => WireError::bad_request(e.to_string()),
+        RouterError::AtCapacity { .. } => {
+            WireError::new(WireErrorKind::TopologyLimit, e.to_string())
+        }
     })
 }
 
@@ -1175,17 +1076,6 @@ fn compose_baseline_route(
             ServiceRequest::WithFaults { pi, faults }
         }
         other => other,
-    }
-}
-
-/// The wire error kind for a routing failure: a fault set that
-/// disconnects a group pair is the typed `unroutable` refusal (the
-/// service's pre-flight check raises it before planning); everything
-/// else stays the generic `routing` kind.
-fn route_error_kind(e: &RoutingError) -> WireErrorKind {
-    match e {
-        RoutingError::Fault(FaultRoutingError::Disconnected { .. }) => WireErrorKind::Unroutable,
-        _ => WireErrorKind::Routing,
     }
 }
 
@@ -1255,14 +1145,16 @@ fn metrics_sidecar_loop(listener: TcpListener, state: &Arc<ServeState>) {
                     Err(_) => continue,
                 });
                 let mut writer = stream;
-                let outcome = read_bounded_line(
+                let outcome = read_message(
                     &mut reader,
+                    WireFormat::Json,
                     8 * 1024,
                     Some(Duration::from_secs(2)),
                     &state.shutdown,
                 );
-                if let Ok(LineOutcome::Line(line)) = outcome {
-                    let path = exposition::http_request_path(&line).unwrap_or("");
+                if let Ok(ReadOutcome::Message(line)) = outcome {
+                    let text = String::from_utf8_lossy(&line);
+                    let path = exposition::http_request_path(&text).unwrap_or("");
                     let bytes_out = answer_http(&mut writer, state, path);
                     state
                         .server_metrics
@@ -1277,284 +1169,370 @@ fn metrics_sidecar_loop(listener: TcpListener, state: &Arc<ServeState>) {
     }
 }
 
-/// Records a shed in the connection-layer registry and builds the typed
-/// `overloaded` response the client gets instead of queueing.
-fn shed_response(state: &ServeState, shed: Shed) -> Json {
-    state.server_metrics.record_shed(shed.quota);
-    overloaded_response(shed.msg, shed.retry_after_ms)
+/// A typed refusal on its way to the client.
+#[derive(Debug, Clone)]
+pub(crate) struct WireError {
+    kind: WireErrorKind,
+    msg: String,
+    /// The back-off hint of an overload shed.
+    retry_after_ms: Option<u64>,
 }
 
-/// Answers one JSON request document with one or more responses; the
-/// flags say "stop the server after this" and "the connection negotiated
-/// this format". Route and batch requests select their backend by the
-/// request's `d`/`g` fields (defaulting to the server's boot topology
-/// field by field) and pass through overload control first; every other
-/// op is topology-independent and never shed. In binary mode the same
-/// dispatcher serves `TAG_JSON` frames — everything works identically
-/// except `hello`, which is only meaningful on a JSON line.
-fn respond(
-    line: &str,
-    state: &ServeState,
-    format: WireFormat,
-    peer: Option<IpAddr>,
-    trace: &mut RequestTrace,
-) -> (Vec<Outgoing>, bool, Option<WireFormat>) {
-    let router = &state.router;
-    let one = |response: Json| (vec![Outgoing::Json(response)], false, None);
-    let doc = match Json::parse(line) {
-        Ok(doc) => doc,
-        Err(e) => return one(error_response(WireErrorKind::Parse, e.to_string())),
-    };
-    trace.stage("parse");
-    let default = router.default_topology();
+impl WireError {
+    fn new(kind: WireErrorKind, msg: impl Into<String>) -> Self {
+        Self {
+            kind,
+            msg: msg.into(),
+            retry_after_ms: None,
+        }
+    }
 
-    // Format negotiation. The acknowledgement rides the current format;
-    // the switch takes effect on the next exchange.
-    if doc.get("op").and_then(Json::as_str) == Some("hello") {
-        if format == WireFormat::Binary {
-            return one(error_response(
-                WireErrorKind::BadRequest,
-                "connection already negotiated the binary framing",
+    fn bad_request(msg: impl Into<String>) -> Self {
+        Self::new(WireErrorKind::BadRequest, msg)
+    }
+
+    fn into_json(self) -> Json {
+        match self.retry_after_ms {
+            Some(ms) => overloaded_response(self.msg, ms),
+            None => error_response(self.kind, self.msg),
+        }
+    }
+}
+
+/// A decoded request, whichever wire format it arrived in.
+pub(crate) enum Request {
+    /// A route op: the shape it selects, and its body, which is bound to
+    /// that topology only after the lookup.
+    Route { d: usize, g: usize, body: RouteBody },
+    /// Every other op, fully decoded.
+    Op(WireRequest),
+}
+
+/// A route body not yet bound to a topology.
+pub(crate) enum RouteBody {
+    /// A `{"op":"route"}` document.
+    Json(Json),
+    /// A dense `TAG_ROUTE` body.
+    Dense(frame::RouteFrame),
+}
+
+/// What executing a request produced, before it is encoded.
+enum Reply {
+    /// A finished response document (control ops).
+    Doc(Json),
+    /// The `hello` acknowledgement; the connection switches format after
+    /// writing it.
+    Hello(WireFormat),
+    /// The `shutdown` acknowledgement; the server stops after writing it.
+    Shutdown,
+    Route {
+        kind: RequestKind,
+        reply: ServiceReply,
+        want_schedule: bool,
+    },
+    Batch(BatchReply),
+}
+
+/// A routed batch: one answer per item, in input order.
+struct BatchReply {
+    items: Vec<Result<BatchItem, WireError>>,
+    want_schedule: bool,
+    micros: u64,
+}
+
+/// One routed batch item and the topology that served it.
+struct BatchItem {
+    d: usize,
+    g: usize,
+    plan: ItemPlan,
+}
+
+/// How a batch item was routed.
+enum ItemPlan {
+    /// On its shape's no-artefacts fast path (always healthy).
+    Healthy(RoutingPlan),
+    /// Alone through [`route_one`], under its effective fault set.
+    Degraded(ServiceReply),
+}
+
+impl ItemPlan {
+    fn schedule(&self) -> &Schedule {
+        match self {
+            ItemPlan::Healthy(plan) => &plan.schedule,
+            ItemPlan::Degraded(reply) => reply.outcome.schedule(),
+        }
+    }
+
+    fn degraded(&self) -> bool {
+        matches!(self, ItemPlan::Degraded(reply) if reply.degraded)
+    }
+}
+
+/// Which encoding a reply goes out in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Codec {
+    /// JSON documents, one per line.
+    Line,
+    /// JSON documents inside `TAG_JSON` frames.
+    JsonFrame,
+    /// Dense route-reply and batch-item frames for `TAG_ROUTE` and
+    /// `TAG_BATCH` requests; their errors and the batch summary stay
+    /// `TAG_JSON` frames.
+    Dense,
+}
+
+/// Decodes one message into a [`Request`], plus the codec its reply goes
+/// out in. A JSON body decodes the same way whether it arrived as a line
+/// or inside a `TAG_JSON` frame; a dense frame with `d = g = 0` selects
+/// `default`, like a JSON request without `d`/`g` fields.
+pub(crate) fn decode(
+    default: &PopsTopology,
+    format: WireFormat,
+    message: &[u8],
+) -> (Codec, Result<Request, WireError>) {
+    let parse_error = |e: String| WireError::new(WireErrorKind::Parse, e);
+    if format == WireFormat::Json {
+        let line = String::from_utf8_lossy(message);
+        return (Codec::Line, decode_json(&line, default, true));
+    }
+    let Some((&tag, body)) = message.split_first() else {
+        return (Codec::JsonFrame, Err(parse_error("empty frame".into())));
+    };
+    let resolve = |shape| match shape {
+        (0, 0) => (default.d(), default.g()),
+        shape => shape,
+    };
+    match tag {
+        TAG_JSON => (
+            Codec::JsonFrame,
+            match std::str::from_utf8(body) {
+                Ok(text) => decode_json(text, default, false),
+                Err(_) => Err(parse_error("TAG_JSON frame is not valid UTF-8".into())),
+            },
+        ),
+        TAG_ROUTE => (
+            Codec::Dense,
+            frame::decode_route_request(body)
+                .map_err(parse_error)
+                .map(|route| {
+                    let (d, g) = resolve(route.shape);
+                    Request::Route {
+                        d,
+                        g,
+                        body: RouteBody::Dense(route),
+                    }
+                }),
+        ),
+        TAG_BATCH => (
+            Codec::Dense,
+            frame::decode_batch_request(body)
+                .map_err(parse_error)
+                .map(|(items, want_schedule)| {
+                    let items = items
+                        .into_iter()
+                        .map(|item| {
+                            let (d, g) = resolve(item.shape);
+                            // The dense body carries no fault lists; a
+                            // declared baseline still applies per item.
+                            BatchItemRequest {
+                                d,
+                                g,
+                                perm: item.perm.and_then(|pi| item_perm(d, g, pi)),
+                                faults: Vec::new(),
+                            }
+                        })
+                        .collect();
+                    Request::Op(WireRequest::Batch {
+                        items,
+                        want_schedule,
+                    })
+                }),
+        ),
+        other => (
+            Codec::JsonFrame,
+            Err(WireError::bad_request(format!(
+                "unknown frame tag 0x{other:02x}"
+            ))),
+        ),
+    }
+}
+
+/// Decodes one JSON request document. A route's shape is resolved (absent
+/// `d`/`g` fall back to `default` field by field) but its body is left
+/// unbound. `on_line` says the document arrived as a JSON line, the only
+/// place a `hello` can still switch formats.
+fn decode_json(text: &str, default: &PopsTopology, on_line: bool) -> Result<Request, WireError> {
+    let doc = Json::parse(text).map_err(|e| WireError::new(WireErrorKind::Parse, e.to_string()))?;
+    if doc.get("op").and_then(Json::as_str) == Some("route") {
+        let (d, g) = requested_shape(&doc, default).map_err(WireError::bad_request)?;
+        let body = RouteBody::Json(doc);
+        return Ok(Request::Route { d, g, body });
+    }
+    match parse_request(&doc, default).map_err(WireError::bad_request)? {
+        WireRequest::Hello { .. } if !on_line => Err(WireError::bad_request(
+            "connection already negotiated the binary framing",
+        )),
+        request => Ok(Request::Op(request)),
+    }
+}
+
+/// Executes one decoded request as staged checks with early typed
+/// returns, in one order for every wire format: shape → admission →
+/// lookup → bind → record → compose baseline faults → route.
+fn execute(
+    state: &ServeState,
+    conn: &Conn,
+    request: Request,
+    trace: &mut RequestTrace,
+) -> Result<Reply, WireError> {
+    let config = &state.config;
+    // Shape: a batch over the item cap is refused whole (never silently
+    // truncated) before it costs an admission slot.
+    if let Request::Op(WireRequest::Batch { items, .. }) = &request {
+        if items.len() > config.max_batch_items {
+            return Err(WireError::new(
+                WireErrorKind::TooLarge,
+                format!(
+                    "batch of {} items exceeds the {}-item cap",
+                    items.len(),
+                    config.max_batch_items
+                ),
             ));
         }
-        let name = doc.get("format").and_then(Json::as_str).unwrap_or("json");
-        return match WireFormat::from_name(name) {
-            None => one(error_response(
-                WireErrorKind::BadRequest,
-                format!("unknown format '{name}' (json|binary)"),
-            )),
-            Some(requested) => (
-                vec![Outgoing::Json(hello_response(requested))],
-                false,
-                Some(requested),
-            ),
-        };
     }
-
-    // Route ops resolve their backend before body parsing (the body's
-    // size validation needs the right topology in hand).
-    if doc.get("op").and_then(Json::as_str) == Some("route") {
-        let (d, g) = match requested_shape(&doc, &default) {
-            Ok(shape) => shape,
-            Err(e) => return one(error_response(WireErrorKind::BadRequest, e)),
-        };
-        // Overload control gates everything expensive: admitting the
-        // topology (which may construct a warm service) and routing.
-        let _admitted = match state.overload.try_admit(peer) {
-            Ok(guard) => guard,
-            Err(shed) => return one(shed_response(state, shed)),
-        };
-        trace.stage("admission");
-        let service = match select_service(state, d, g) {
-            Ok(service) => service,
-            Err((kind, msg)) => return one(error_response(kind, msg)),
-        };
-        return match parse_request(&doc, &service.topology()) {
-            Err(e) => one(error_response(WireErrorKind::BadRequest, e)),
-            Ok(WireRequest::Route { req, want_schedule }) => {
-                // Tee the request *as the client sent it* (request-level
-                // faults only, no baseline) so traces port across
-                // baseline configurations.
-                if let Some(recorder) = &state.recorder {
-                    recorder.record(format, crate::record::recorded_route(d, g, &req));
+    // Admission: route and batch work holds one watermark slot (and
+    // spends one quota token) for its whole time in service — a whole
+    // batch included, since charging per item would let one batch starve
+    // every other client's quota. Control ops are never shed, so the
+    // server stays observable under overload.
+    let _admitted = match &request {
+        Request::Route { .. } | Request::Op(WireRequest::Batch { .. }) => {
+            let guard = state.overload.try_admit(conn.peer).map_err(|shed| {
+                state.server_metrics.record_shed(shed.quota);
+                WireError {
+                    kind: WireErrorKind::Overloaded,
+                    msg: shed.msg,
+                    retry_after_ms: Some(shed.retry_after_ms),
                 }
-                let req = compose_baseline_route(
-                    req,
-                    baseline_fault_ids(&state.config, d, g),
-                    &service.topology(),
-                );
-                match service.route(&req) {
-                    Ok(reply) => {
-                        trace.stage(if reply.cache_hit { "cache" } else { "plan" });
-                        one(route_response(req.kind(), &reply, want_schedule))
-                    }
-                    Err(e) => {
-                        trace.stage("plan");
-                        one(error_response(route_error_kind(&e), e.to_string()))
-                    }
+            })?;
+            trace.stage("admission");
+            Some(guard)
+        }
+        Request::Op(_) => None,
+    };
+    // Lookup, then bind: a route body is parsed only against the topology
+    // the router admitted, because building one from an unvalidated shape
+    // panics. A batch caps its distinct shapes before any lookup
+    // (admitting a topology can construct a warm service, so a batch
+    // spraying novel shapes would otherwise amplify into that many
+    // builds); each shape is then looked up as its group is routed.
+    let (request, service) = match request {
+        Request::Route { d, g, body } => {
+            let service = select_service(state, d, g)?;
+            (bind(body, &service.topology())?, Some(service))
+        }
+        Request::Op(request) => {
+            if let WireRequest::Batch { items, .. } = &request {
+                let shapes: BTreeSet<(usize, usize)> = items
+                    .iter()
+                    .filter(|item| item.perm.is_ok())
+                    .map(|item| (item.d, item.g))
+                    .collect();
+                if shapes.len() > config.max_batch_topologies {
+                    return Err(WireError::new(
+                        WireErrorKind::TooLarge,
+                        format!(
+                            "batch touches {} distinct topologies, exceeding the {}-topology cap",
+                            shapes.len(),
+                            config.max_batch_topologies
+                        ),
+                    ));
                 }
             }
-            Ok(_) => one(error_response(
-                WireErrorKind::BadRequest,
-                "internal: op 'route' parsed to a non-route request",
-            )),
-        };
+            (request, None)
+        }
+    };
+    // Record the request as the client sent it — request-level faults
+    // only, no baseline — so traces port across baseline configurations.
+    if let Some(recorder) = &state.recorder {
+        if let Some(op) = record::recorded_op(&request) {
+            recorder.record(conn.format, op);
+        }
     }
-
-    match parse_request(&doc, &default) {
-        Err(e) => one(error_response(WireErrorKind::BadRequest, e)),
-        Ok(WireRequest::Ping) => one(pong_response()),
-        Ok(WireRequest::Info) => {
+    // Compose the baseline and route.
+    let router = &state.router;
+    match request {
+        WireRequest::Route {
+            req, want_schedule, ..
+        } => {
+            // Only a route decoded with its body unbound reaches here, and
+            // that one was bound to the service looked up above.
+            let Some(service) = service else {
+                return Err(WireError::bad_request(
+                    "internal: route bound without a topology lookup",
+                ));
+            };
+            let routed = route_one(state, &service, req);
+            trace.stage(match &routed {
+                Ok((_, reply)) if reply.cache_hit => "cache",
+                _ => "plan",
+            });
+            let (kind, reply) = routed?;
+            Ok(Reply::Route {
+                kind,
+                reply,
+                want_schedule,
+            })
+        }
+        WireRequest::Batch {
+            items,
+            want_schedule,
+        } => {
+            let batch = route_batch(state, items, want_schedule);
+            trace.stage("plan");
+            Ok(Reply::Batch(batch))
+        }
+        WireRequest::Cache { action } => cache_op(state, action).map(Reply::Doc),
+        WireRequest::Hello { format } => Ok(Reply::Hello(format)),
+        WireRequest::Shutdown => Ok(Reply::Shutdown),
+        WireRequest::Ping => Ok(Reply::Doc(pong_response())),
+        WireRequest::Info => {
             let service = router.default_service();
             let shapes: Vec<(usize, usize)> = router
                 .services()
                 .iter()
                 .map(|(t, _)| (t.d(), t.g()))
                 .collect();
-            one(info_response(
-                &default,
+            Ok(Reply::Doc(info_response(
+                &router.default_topology(),
                 service.shard_count(),
                 service.cache_capacity(),
                 &shapes,
                 router.max_topologies(),
                 env!("CARGO_PKG_VERSION"),
                 state.started.elapsed().as_secs(),
-            ))
+            )))
         }
-        Ok(WireRequest::Stats) => {
+        WireRequest::Stats => {
             let (aggregate, per_topology) = aggregate_stats(state);
-            one(stats_response(&aggregate, &per_topology, &router.stats()))
+            let doc = stats_response(&aggregate, &per_topology, &router.stats());
+            Ok(Reply::Doc(doc))
         }
-        Ok(WireRequest::Shutdown) => (vec![Outgoing::Json(shutdown_response())], true, None),
-        Ok(WireRequest::Cache { action }) => {
-            if let Some(recorder) = &state.recorder {
-                recorder.record(format, crate::record::recorded_cache(action));
-            }
-            one(respond_cache(action, state))
-        }
-        Ok(WireRequest::Batch {
-            items,
-            want_schedule,
-        }) => {
-            if let Some(recorder) = &state.recorder {
-                if let Some(op) = crate::record::recorded_batch(&items) {
-                    recorder.record(format, op);
-                }
-            }
-            (
-                respond_batch(&items, want_schedule, state, false, peer, trace),
-                false,
-                None,
-            )
-        }
-        Ok(WireRequest::Route { .. }) => one(error_response(
-            WireErrorKind::BadRequest,
-            "internal: route op fell through its dedicated dispatcher",
-        )),
     }
 }
 
-/// Answers one binary frame. `TAG_JSON` frames carry any JSON op and ride
-/// the ordinary dispatcher (their responses come back as `TAG_JSON`
-/// frames); `TAG_ROUTE` and `TAG_BATCH` get the dense binary bodies and
-/// binary replies. Malformed frames are answered with a structured JSON
-/// error frame — the framing itself stays intact, so the connection
-/// survives exactly like a JSON connection survives a bad line.
-fn respond_frame(
-    payload: &[u8],
-    state: &ServeState,
-    peer: Option<IpAddr>,
-    trace: &mut RequestTrace,
-) -> (Vec<Outgoing>, bool) {
-    let one = |response: Json| (vec![Outgoing::Json(response)], false);
-    let Some((&tag, body)) = payload.split_first() else {
-        return one(error_response(WireErrorKind::Parse, "empty frame"));
+/// Binds a route body to the topology its lookup selected.
+pub(crate) fn bind(body: RouteBody, topology: &PopsTopology) -> Result<WireRequest, WireError> {
+    let route = match body {
+        RouteBody::Json(doc) => {
+            return parse_request(&doc, topology).map_err(WireError::bad_request)
+        }
+        RouteBody::Dense(route) => route,
     };
-    match tag {
-        TAG_JSON => match std::str::from_utf8(body) {
-            Err(_) => one(error_response(
-                WireErrorKind::Parse,
-                "TAG_JSON frame is not valid UTF-8",
-            )),
-            Ok(line) => {
-                let (responses, stop, _) = respond(line, state, WireFormat::Binary, peer, trace);
-                (responses, stop)
-            }
-        },
-        TAG_ROUTE => respond_route_frame(body, state, peer, trace),
-        TAG_BATCH => match frame::decode_batch_request(body) {
-            Err(e) => one(error_response(WireErrorKind::Parse, e)),
-            Ok((frame_items, want_schedule)) => {
-                let default = state.router.default_topology();
-                let items: Vec<BatchItemRequest> = frame_items
-                    .into_iter()
-                    .map(|item| {
-                        // (0, 0) means "the server's default shape",
-                        // mirroring a JSON item without d/g fields.
-                        let (d, g) = match item.shape {
-                            (0, 0) => (default.d(), default.g()),
-                            shape => shape,
-                        };
-                        let perm = item.perm.and_then(|pi| match d.checked_mul(g) {
-                            Some(n) if n == pi.len() => Ok(pi),
-                            _ => Err(format!(
-                                "item permutation has length {}, POPS({d}, {g}) needs {}",
-                                pi.len(),
-                                d.saturating_mul(g)
-                            )),
-                        });
-                        // The dense batch body carries no fault lists;
-                        // a declared baseline still applies per item.
-                        BatchItemRequest {
-                            d,
-                            g,
-                            perm,
-                            faults: Vec::new(),
-                        }
-                    })
-                    .collect();
-                if let Some(recorder) = &state.recorder {
-                    if let Some(op) = crate::record::recorded_batch(&items) {
-                        recorder.record(WireFormat::Binary, op);
-                    }
-                }
-                (
-                    respond_batch(&items, want_schedule, state, true, peer, trace),
-                    false,
-                )
-            }
-        },
-        other => one(error_response(
-            WireErrorKind::BadRequest,
-            format!("unknown frame tag 0x{other:02x}"),
-        )),
-    }
-}
-
-/// Answers one `TAG_ROUTE` frame: resolve the shape, validate the
-/// permutation against the selected topology, route, and reply with a
-/// `TAG_ROUTE_REPLY` frame (errors stay structured JSON frames).
-fn respond_route_frame(
-    body: &[u8],
-    state: &ServeState,
-    peer: Option<IpAddr>,
-    trace: &mut RequestTrace,
-) -> (Vec<Outgoing>, bool) {
-    let one = |response: Json| (vec![Outgoing::Json(response)], false);
-    let route = match frame::decode_route_request(body) {
-        Ok(route) => route,
-        Err(e) => return one(error_response(WireErrorKind::Parse, e)),
-    };
-    trace.stage("parse");
-    let default = state.router.default_topology();
-    let (d, g) = match route.shape {
-        (0, 0) => (default.d(), default.g()),
-        shape => shape,
-    };
-    let _admitted = match state.overload.try_admit(peer) {
-        Ok(guard) => guard,
-        Err(shed) => return one(shed_response(state, shed)),
-    };
-    trace.stage("admission");
-    let service = match select_service(state, d, g) {
-        Ok(service) => service,
-        Err((kind, msg)) => return one(error_response(kind, msg)),
-    };
-    let pi = match route.perm {
-        Ok(pi) => pi,
-        Err(e) => return one(error_response(WireErrorKind::BadRequest, e)),
-    };
-    if pi.len() != service.topology().n() {
-        return one(error_response(
-            WireErrorKind::BadRequest,
-            format!(
-                "permutation has length {}, {} needs {}",
-                pi.len(),
-                service.topology(),
-                service.topology().n()
-            ),
-        ));
-    }
+    let pi = route
+        .perm
+        .and_then(|pi| bind_perm(pi, topology))
+        .map_err(WireError::bad_request)?;
     let req = match route.kind {
         RequestKind::Theorem2 => ServiceRequest::Theorem2 { pi },
         RequestKind::SingleSlot => ServiceRequest::SingleSlot { pi },
@@ -1563,253 +1541,125 @@ fn respond_route_frame(
         // The decoder refuses these kinds; their richer bodies ride
         // TAG_JSON frames instead.
         RequestKind::HRelation | RequestKind::WithFaults => {
-            return one(error_response(
-                WireErrorKind::BadRequest,
+            return Err(WireError::bad_request(
                 "h-relation and fault bodies ride TAG_JSON frames, not TAG_ROUTE",
             ))
         }
     };
-    if let Some(recorder) = &state.recorder {
-        recorder.record(
-            WireFormat::Binary,
-            crate::record::recorded_route(d, g, &req),
-        );
-    }
-    // A declared baseline degrades dense theorem2 frames too; the binary
-    // reply has no degraded flag, but the schedule and the cache key are
-    // the fault-aware ones.
-    let req = compose_baseline_route(
+    Ok(WireRequest::Route {
+        d: topology.d(),
+        g: topology.g(),
         req,
-        baseline_fault_ids(&state.config, d, g),
-        &service.topology(),
-    );
+        want_schedule: route.want_schedule,
+    })
+}
+
+/// Composes the shape's baseline faults into `req` and routes it — the
+/// one place a single request reaches [`RoutingService::route`], for
+/// route ops and degraded batch items alike. Returns the kind actually
+/// routed (a baseline turns `theorem2` into `faults`) with the reply.
+fn route_one(
+    state: &ServeState,
+    service: &RoutingService,
+    req: ServiceRequest,
+) -> Result<(RequestKind, ServiceReply), WireError> {
+    let topology = service.topology();
+    let baseline = baseline_fault_ids(&state.config, topology.d(), topology.g());
+    let req = compose_baseline_route(req, baseline, &topology);
     match service.route(&req) {
-        Err(e) => {
-            trace.stage("plan");
-            one(error_response(route_error_kind(&e), e.to_string()))
+        Ok(reply) => Ok((req.kind(), reply)),
+        // A fault set that disconnects a group pair is the typed
+        // `unroutable` refusal; everything else is a generic `routing`.
+        Err(e @ RoutingError::Fault(FaultRoutingError::Disconnected { .. })) => {
+            Err(WireError::new(WireErrorKind::Unroutable, e.to_string()))
         }
-        Ok(reply) => {
-            trace.stage(if reply.cache_hit { "cache" } else { "plan" });
-            (
-                vec![Outgoing::Frame(frame::encode_route_reply(
-                    reply.cache_hit,
-                    reply.micros,
-                    reply.outcome.schedule(),
-                    route.want_schedule,
-                ))],
-                false,
-            )
-        }
+        Err(e) => Err(WireError::new(WireErrorKind::Routing, e.to_string())),
     }
 }
 
-/// Answers a `batch` op with one `batch-item` line per item **in input
-/// order**, then one `batch` summary line. Items are grouped by topology
-/// and each group rides [`RoutingService::route_batch`] — the in-process
-/// threads + no-artefacts fast path — so a mixed-shape batch costs one
-/// dispatch per distinct shape, not one per item. A batch larger than
-/// `max_batch_items` is refused whole with `too-large` (never silently
-/// truncated); per-item problems (bad permutation, unadmittable shape)
-/// get per-item error lines without poisoning their siblings.
-fn respond_batch(
-    items: &[crate::proto::BatchItemRequest],
-    want_schedule: bool,
+/// Routes a batch's items. Healthy items are grouped by topology and each
+/// group rides [`RoutingService::route_batch`] — the in-process threads +
+/// no-artefacts fast path — so a mixed-shape batch costs one dispatch per
+/// distinct shape, not one per item. Items whose effective fault set (own
+/// faults ∪ the shape's baseline) is non-empty take [`route_one`]
+/// instead, so their plans live under fault-keyed cache entries and their
+/// replies carry the degraded flag. Per-item problems (bad permutation,
+/// unadmittable shape, unroutable faults) become per-item errors that
+/// never poison their siblings.
+fn route_batch(
     state: &ServeState,
-    binary: bool,
-    peer: Option<IpAddr>,
-    trace: &mut RequestTrace,
-) -> Vec<Outgoing> {
-    if items.len() > state.config.max_batch_items {
-        return vec![Outgoing::Json(error_response(
-            WireErrorKind::TooLarge,
-            format!(
-                "batch of {} items exceeds the {}-item cap",
-                items.len(),
-                state.config.max_batch_items
-            ),
-        ))];
-    }
-    // A whole batch spends one admission slot/token: its fan-out is
-    // bounded by max_batch_items, and charging per item would let one
-    // batch line starve every other client's quota.
-    let _admitted = match state.overload.try_admit(peer) {
-        Ok(guard) => guard,
-        Err(shed) => return vec![Outgoing::Json(shed_response(state, shed))],
-    };
-    trace.stage("admission");
+    items: Vec<BatchItemRequest>,
+    want_schedule: bool,
+) -> BatchReply {
     let start = Instant::now();
-    let mut lines: Vec<Option<Outgoing>> = (0..items.len()).map(|_| None).collect();
+    let mut answers: Vec<Option<Result<BatchItem, WireError>>> =
+        (0..items.len()).map(|_| None).collect();
+    let mut answer = |index: usize, answer: Result<BatchItem, WireError>| {
+        if let Some(slot) = answers.get_mut(index) {
+            *slot = Some(answer);
+        }
+    };
     let mut groups: BTreeMap<(usize, usize), Vec<(usize, Permutation)>> = BTreeMap::new();
-    // Items whose effective fault set (request faults ∪ the shape's
-    // declared baseline) is non-empty: they skip the no-artefacts fast
-    // path below and ride the cache-aware single-route path, so their
-    // plans live under fault-keyed cache entries and their responses
-    // carry the degraded flag.
-    let mut degraded_items: Vec<(usize, &BatchItemRequest, Permutation)> = Vec::new();
-    for (index, item) in items.iter().enumerate() {
-        match &item.perm {
-            Err(e) => {
-                // lint: allow(panic-freedom) -- `index` comes from enumerate() over `items`; lines.len() == items.len()
-                lines[index] = Some(Outgoing::Json(batch_item_error(
-                    index,
-                    WireErrorKind::BadRequest,
-                    e,
-                )))
+    let mut degraded = Vec::new();
+    for (index, item) in items.into_iter().enumerate() {
+        let (d, g) = (item.d, item.g);
+        match item.perm {
+            Err(e) => answer(index, Err(WireError::bad_request(e))),
+            Ok(pi)
+                if item.faults.is_empty() && baseline_fault_ids(&state.config, d, g).is_empty() =>
+            {
+                groups.entry((d, g)).or_default().push((index, pi));
             }
-            Ok(pi) => {
-                if item.faults.is_empty()
-                    && baseline_fault_ids(&state.config, item.d, item.g).is_empty()
-                {
-                    groups
-                        .entry((item.d, item.g))
-                        .or_default()
-                        .push((index, pi.clone()));
-                } else {
-                    degraded_items.push((index, item, pi.clone()));
-                }
-            }
+            Ok(pi) => degraded.push((index, d, g, pi, item.faults)),
         }
     }
-    // Cap the distinct shapes BEFORE any lookup: admission can construct
-    // a warm service per shape, so a batch spraying novel shapes would
-    // otherwise amplify one request line into hundreds of builds (and
-    // churn every other client's warm topology out of the registry).
-    let mut shapes: BTreeSet<(usize, usize)> = groups.keys().copied().collect();
-    shapes.extend(degraded_items.iter().map(|(_, item, _)| (item.d, item.g)));
-    if shapes.len() > state.config.max_batch_topologies {
-        return vec![Outgoing::Json(error_response(
-            WireErrorKind::TooLarge,
-            format!(
-                "batch touches {} distinct topologies, exceeding the {}-topology cap",
-                shapes.len(),
-                state.config.max_batch_topologies
-            ),
-        ))];
-    }
-    let mut routed = 0usize;
-    let mut slots_total = 0usize;
-    let mut topologies: BTreeSet<(usize, usize)> = BTreeSet::new();
     for ((d, g), members) in groups {
-        match select_service(state, d, g) {
-            Err((kind, msg)) => {
+        let service = match select_service(state, d, g) {
+            Ok(service) => service,
+            Err(e) => {
                 for (index, _) in members {
-                    // lint: allow(panic-freedom) -- `index` comes from enumerate() over `items`; lines.len() == items.len()
-                    lines[index] = Some(Outgoing::Json(batch_item_error(index, kind, msg.clone())));
+                    answer(index, Err(e.clone()));
                 }
+                continue;
             }
-            Ok(service) => {
-                let (indices, perms): (Vec<usize>, Vec<Permutation>) = members.into_iter().unzip();
-                let plans = service.route_batch(&perms, None, false);
-                topologies.insert((d, g));
-                for (&index, plan) in indices.iter().zip(&plans) {
-                    routed += 1;
-                    slots_total += plan.schedule.slot_count();
-                    // lint: allow(panic-freedom) -- `index` comes from enumerate() over `items`; lines.len() == items.len()
-                    lines[index] = Some(if binary {
-                        Outgoing::Frame(frame::encode_batch_item(
-                            index,
-                            d,
-                            g,
-                            &plan.schedule,
-                            want_schedule,
-                        ))
-                    } else {
-                        Outgoing::Json(batch_item_response(
-                            index,
-                            d,
-                            g,
-                            &plan.schedule,
-                            want_schedule,
-                            false,
-                        ))
-                    });
-                }
-            }
+        };
+        let (indices, perms): (Vec<usize>, Vec<Permutation>) = members.into_iter().unzip();
+        let plans = service.route_batch(&perms, None, false);
+        for (index, plan) in indices.into_iter().zip(plans) {
+            let plan = ItemPlan::Healthy(plan);
+            answer(index, Ok(BatchItem { d, g, plan }));
         }
     }
-    for (index, item, pi) in degraded_items {
-        match select_service(state, item.d, item.g) {
-            Err((kind, msg)) => {
-                // lint: allow(panic-freedom) -- `index` comes from enumerate() over `items`; lines.len() == items.len()
-                lines[index] = Some(Outgoing::Json(batch_item_error(index, kind, msg)));
+    for (index, d, g, pi, ids) in degraded {
+        let routed = select_service(state, d, g).and_then(|service| {
+            let topology = service.topology();
+            let mut faults = FaultSet::none(&topology);
+            // Item faults were validated in parsing; the filter keeps
+            // this total regardless.
+            for &c in ids.iter().filter(|&&c| c < topology.coupler_count()) {
+                faults.fail_coupler(c);
             }
-            Ok(service) => {
-                let topology = service.topology();
-                let mut faults = FaultSet::none(&topology);
-                // Item faults were validated in parsing and baseline ids
-                // at boot; the filter keeps this total regardless.
-                for &c in baseline_fault_ids(&state.config, item.d, item.g)
-                    .iter()
-                    .chain(&item.faults)
-                    .filter(|&&c| c < topology.coupler_count())
-                {
-                    faults.fail_coupler(c);
-                }
-                let req = ServiceRequest::WithFaults { pi, faults };
-                match service.route(&req) {
-                    Err(e) => {
-                        // lint: allow(panic-freedom) -- `index` comes from enumerate() over `items`; lines.len() == items.len()
-                        lines[index] = Some(Outgoing::Json(batch_item_error(
-                            index,
-                            route_error_kind(&e),
-                            e.to_string(),
-                        )));
-                    }
-                    Ok(reply) => {
-                        routed += 1;
-                        let schedule = reply.outcome.schedule();
-                        slots_total += schedule.slot_count();
-                        topologies.insert((item.d, item.g));
-                        // lint: allow(panic-freedom) -- `index` comes from enumerate() over `items`; lines.len() == items.len()
-                        lines[index] = Some(if binary {
-                            Outgoing::Frame(frame::encode_batch_item(
-                                index,
-                                item.d,
-                                item.g,
-                                schedule,
-                                want_schedule,
-                            ))
-                        } else {
-                            Outgoing::Json(batch_item_response(
-                                index,
-                                item.d,
-                                item.g,
-                                schedule,
-                                want_schedule,
-                                reply.degraded,
-                            ))
-                        });
-                    }
-                }
-            }
-        }
+            route_one(state, &service, ServiceRequest::WithFaults { pi, faults })
+        });
+        let plan = routed.map(|(_, reply)| ItemPlan::Degraded(reply));
+        answer(index, plan.map(|plan| BatchItem { d, g, plan }));
     }
-    trace.stage("plan");
-    let mut out: Vec<Outgoing> = lines
-        .into_iter()
-        .enumerate()
-        .map(|(index, line)| {
-            // Every index is assigned exactly once above (error or plan);
-            // answer with a structured error rather than panic if not.
-            line.unwrap_or_else(|| {
-                Outgoing::Json(batch_item_error(
-                    index,
-                    WireErrorKind::BadRequest,
-                    "internal: batch item was not answered",
-                ))
+    BatchReply {
+        items: answers
+            .into_iter()
+            .map(|answer| {
+                // Every index is answered above; say so rather than
+                // panic if one was not.
+                answer.unwrap_or_else(|| {
+                    Err(WireError::bad_request(
+                        "internal: batch item was not answered",
+                    ))
+                })
             })
-        })
-        .collect();
-    let topologies: Vec<(usize, usize)> = topologies.into_iter().collect();
-    out.push(Outgoing::Json(batch_summary_response(
-        items.len(),
-        routed,
-        items.len() - routed,
-        slots_total,
-        start.elapsed().as_micros() as u64,
-        &topologies,
-    )));
-    out
+            .collect(),
+        want_schedule,
+        micros: start.elapsed().as_micros() as u64,
+    }
 }
 
 /// Answers a `cache` op across **every resident topology**. The spill
@@ -1820,50 +1670,139 @@ fn respond_batch(
 /// failure (`unavailable`); a load skips unmatchable files (wrong
 /// topology, corrupt) and reports how many, failing only if the
 /// directory itself cannot be listed.
-fn respond_cache(action: CacheAction, state: &ServeState) -> Json {
-    let router = &state.router;
+fn cache_op(state: &ServeState, action: CacheAction) -> Result<Json, WireError> {
+    let dir = || {
+        state.config.cache_dir.as_deref().ok_or_else(|| {
+            WireError::bad_request(
+                "server started without --cache-dir; cache persistence is disabled",
+            )
+        })
+    };
+    let unavailable = |what: &str, e: std::io::Error| {
+        WireError::new(
+            WireErrorKind::Unavailable,
+            format!("cache {what} failed: {e}"),
+        )
+    };
     match action {
-        CacheAction::Stats => {
-            let (aggregate, _) = aggregate_stats(state);
-            cache_stats_response(&aggregate)
+        CacheAction::Stats => Ok(cache_stats_response(&aggregate_stats(state).0)),
+        CacheAction::Save => {
+            let written = state
+                .router
+                .save_all(dir()?)
+                .map_err(|e| unavailable("save", e))?;
+            let l1 = written.iter().map(|(_, s)| s.l1_entries).sum();
+            let l2 = written.iter().map(|(_, s)| s.l2_entries).sum();
+            Ok(cache_persist_response(action, l1, l2, 0))
         }
-        CacheAction::Save | CacheAction::Load => {
-            let Some(dir) = &state.config.cache_dir else {
-                return error_response(
-                    WireErrorKind::BadRequest,
-                    "server started without --cache-dir; cache persistence is disabled",
-                );
-            };
-            match action {
-                CacheAction::Save => match router.save_all(dir) {
-                    Ok(written) => cache_persist_response(
-                        action,
-                        written.iter().map(|(_, s)| s.l1_entries).sum(),
-                        written.iter().map(|(_, s)| s.l2_entries).sum(),
-                        0,
-                    ),
-                    Err(e) => error_response(
-                        WireErrorKind::Unavailable,
-                        format!("cache save failed: {e}"),
-                    ),
-                },
-                CacheAction::Load => match router.load_dir(dir) {
-                    Ok(report) => cache_persist_response(
-                        action,
-                        report.l1_entries(),
-                        report.l2_entries(),
-                        report.skipped.len(),
-                    ),
-                    Err(e) => error_response(
-                        WireErrorKind::Unavailable,
-                        format!("cache load failed: {e}"),
-                    ),
-                },
-                // lint: allow(panic-freedom) -- the outer match answers `Stats` before this arm can be reached
-                CacheAction::Stats => unreachable!("handled above"),
-            }
+        CacheAction::Load => {
+            let report = state
+                .router
+                .load_dir(dir()?)
+                .map_err(|e| unavailable("load", e))?;
+            Ok(cache_persist_response(
+                action,
+                report.l1_entries(),
+                report.l2_entries(),
+                report.skipped.len(),
+            ))
         }
     }
+}
+
+/// Writes one request's reply into `out` in `codec`, tagging every JSON
+/// document with the trace id (dense frames have no spare field), and
+/// hands the rendered documents to `spent`. Pure: no I/O, no counters.
+fn encode(
+    out: &mut Vec<u8>,
+    spent: &mut Vec<Json>,
+    codec: Codec,
+    result: Result<Reply, WireError>,
+    trace_id: &str,
+) {
+    let tagged = |doc: Json| attach_trace(doc, trace_id);
+    let reply = match result {
+        Ok(reply) => reply,
+        Err(e) => return put_doc(out, spent, codec, tagged(e.into_json())),
+    };
+    match reply {
+        Reply::Doc(doc) => put_doc(out, spent, codec, tagged(doc)),
+        Reply::Hello(format) => put_doc(out, spent, codec, tagged(hello_response(format))),
+        Reply::Shutdown => put_doc(out, spent, codec, tagged(shutdown_response())),
+        Reply::Route {
+            kind,
+            reply,
+            want_schedule,
+        } => match codec {
+            Codec::Dense => frame::put_frame(out, |buf| {
+                let schedule = reply.outcome.schedule();
+                frame::put_route_reply(buf, reply.cache_hit, reply.micros, schedule, want_schedule)
+            }),
+            Codec::Line | Codec::JsonFrame => {
+                let doc = route_response(kind, &reply, want_schedule);
+                put_doc(out, spent, codec, tagged(doc))
+            }
+        },
+        Reply::Batch(batch) => {
+            // One document (or dense frame) per item in input order, then
+            // the summary.
+            let want = batch.want_schedule;
+            let mut slots = 0;
+            let mut topologies = BTreeSet::new();
+            for (index, item) in batch.items.iter().enumerate() {
+                let item = match item {
+                    Ok(item) => item,
+                    Err(e) => {
+                        let doc = batch_item_error(index, e.kind, e.msg.as_str());
+                        put_doc(out, spent, codec, tagged(doc));
+                        continue;
+                    }
+                };
+                let (d, g, schedule) = (item.d, item.g, item.plan.schedule());
+                slots += schedule.slot_count();
+                topologies.insert((d, g));
+                match codec {
+                    Codec::Dense => frame::put_frame(out, |buf| {
+                        frame::put_batch_item(buf, index, d, g, schedule, want)
+                    }),
+                    Codec::Line | Codec::JsonFrame => {
+                        let degraded = item.plan.degraded();
+                        let doc = batch_item_response(index, d, g, schedule, want, degraded);
+                        put_doc(out, spent, codec, tagged(doc));
+                    }
+                }
+            }
+            let total = batch.items.len();
+            let routed = batch.items.iter().filter(|item| item.is_ok()).count();
+            let topologies: Vec<(usize, usize)> = topologies.into_iter().collect();
+            let summary = batch_summary_response(
+                total,
+                routed,
+                total - routed,
+                slots,
+                batch.micros,
+                &topologies,
+            );
+            put_doc(out, spent, codec, tagged(summary));
+        }
+    }
+}
+
+/// Appends one JSON document in `codec` — a line, or a `TAG_JSON` frame —
+/// then moves it to `spent`.
+fn put_doc(out: &mut Vec<u8>, spent: &mut Vec<Json>, codec: Codec, doc: Json) {
+    // Writing into a Vec cannot fail.
+    match codec {
+        Codec::Line => {
+            let _ = write!(out, "{doc}");
+            out.push(b'\n');
+        }
+        Codec::JsonFrame | Codec::Dense => frame::put_frame(out, |buf| {
+            buf.push(TAG_JSON);
+            let _ = write!(buf, "{doc}");
+        }),
+    }
+    spent.push(doc);
 }
 
 #[cfg(test)]
@@ -2666,6 +2605,122 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("out of range"), "{err}");
+    }
+
+    /// A serve loop's state without a listener, for driving
+    /// [`serve_message`] in process.
+    fn in_process_state(config: ServerConfig) -> ServeState {
+        let router = Arc::new(TopologyRouter::new(
+            PopsTopology::new(4, 4),
+            TopologyRouterConfig {
+                service: ServiceConfig {
+                    shards: 1,
+                    cache_capacity: 32,
+                    max_in_flight: 2,
+                    colorer: ColorerKind::AlternatingPath,
+                    ..ServiceConfig::default()
+                },
+                ..TopologyRouterConfig::default()
+            },
+        ));
+        ServeState::new(router, config, SocketAddr::from(([127, 0, 0, 1], 0))).unwrap()
+    }
+
+    /// Serves one message in `format` on a fresh connection; returns the
+    /// names of the trace's stages.
+    fn stage_names(state: &ServeState, format: WireFormat, message: &[u8]) -> Vec<&'static str> {
+        let mut conn = Conn::new(0, None);
+        conn.format = format;
+        let mut sink = Vec::new();
+        let (trace, stop) = serve_message(state, &mut conn, message, &mut sink).unwrap();
+        assert!(!stop && !sink.is_empty());
+        trace.stages().iter().map(|(name, _)| *name).collect()
+    }
+
+    #[test]
+    fn every_format_marks_the_same_trace_stages() {
+        let state = in_process_state(ServerConfig::default());
+        let pi = vector_reversal(16);
+        let image: Vec<String> = pi.as_slice().iter().map(usize::to_string).collect();
+        let route = format!(r#"{{"op":"route","perm":[{}]}}"#, image.join(","));
+        let batch = format!(
+            r#"{{"op":"batch","items":[{{"perm":[{}]}}]}}"#,
+            image.join(",")
+        );
+        let route_frame = frame::encode_route_request(RequestKind::Theorem2, true, None, &pi);
+        let batch_frame = frame::encode_batch_request(false, [(None, pi.clone())]);
+        let routed = ["parse", "admission", "plan", "encode", "write"];
+        let hit = ["parse", "admission", "cache", "encode", "write"];
+        // The first route misses; the binary repeat hits the same entry.
+        assert_eq!(
+            stage_names(&state, WireFormat::Json, route.as_bytes()),
+            routed
+        );
+        assert_eq!(stage_names(&state, WireFormat::Binary, &route_frame), hit);
+        assert_eq!(
+            stage_names(&state, WireFormat::Json, batch.as_bytes()),
+            routed
+        );
+        assert_eq!(
+            stage_names(&state, WireFormat::Binary, &batch_frame),
+            routed
+        );
+        // A request refused at decode is parsed, encoded and written.
+        let refused = ["parse", "encode", "write"];
+        assert_eq!(stage_names(&state, WireFormat::Json, b"nope"), refused);
+        assert_eq!(stage_names(&state, WireFormat::Binary, &[0xff]), refused);
+    }
+
+    #[test]
+    fn shed_routes_and_shed_batches_are_recorded_alike() {
+        let path = std::env::temp_dir().join(format!(
+            "pops-server-record-{}-{}.jsonl",
+            std::process::id(),
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .unwrap()
+                .as_nanos()
+        ));
+        let image: Vec<String> = (0..16).rev().map(|v: usize| v.to_string()).collect();
+        let route = format!(r#"{{"op":"route","perm":[{}]}}"#, image.join(","));
+        let batch = format!(
+            r#"{{"op":"batch","items":[{{"perm":[{}]}}]}}"#,
+            image.join(",")
+        );
+        let serve = |state: &ServeState, line: &str| {
+            let mut conn = Conn::new(0, None);
+            serve_message(state, &mut conn, line.as_bytes(), &mut Vec::new()).unwrap();
+        };
+        let recorded_ops = || -> Vec<&'static str> {
+            let trace = record::read_trace(&path).unwrap();
+            trace
+                .iter()
+                .map(|entry| match entry.op {
+                    record::RecordedOp::Route { .. } => "route",
+                    record::RecordedOp::Batch { .. } => "batch",
+                    record::RecordedOp::Cache { .. } => "cache",
+                })
+                .collect()
+        };
+        let config = |watermark| ServerConfig {
+            overload_watermark: watermark,
+            record_path: Some(path.clone()),
+            ..ServerConfig::default()
+        };
+        // Shed at a zero watermark: neither work request is recorded,
+        // while a never-shed cache op is.
+        let state = in_process_state(config(Some(0)));
+        for line in [&route, &batch, r#"{"op":"cache"}"#] {
+            serve(&state, line);
+        }
+        assert_eq!(recorded_ops(), ["cache"]);
+        // Admitted, both are recorded (the file is appended to).
+        let state = in_process_state(config(None));
+        for line in [&route, &batch] {
+            serve(&state, line);
+        }
+        assert_eq!(recorded_ops(), ["cache", "route", "batch"]);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

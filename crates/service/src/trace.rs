@@ -4,9 +4,9 @@
 //! Std-only and allocation-light. The server creates one [`RequestTrace`]
 //! per request from the connection id and a per-connection sequence
 //! number, marks stage boundaries as the request moves through the
-//! pipeline (`parse → admission → plan → serialize`), and hands the
-//! finished trace to its [`SlowLog`]. Requests over the configured
-//! threshold render one structured log line — rate-limited so a storm of
+//! pipeline (`parse → admission → cache|plan → encode → write`), and
+//! hands the finished trace to its [`SlowLog`]. Requests over the
+//! configured threshold render one structured log line — rate-limited so a storm of
 //! slow requests cannot turn the log into its own overload — and the
 //! trace id is echoed on JSON wire responses (the `"trace"` field, see
 //! [`crate::proto::attach_trace`]) so a log line correlates with the
