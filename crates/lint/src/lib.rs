@@ -87,7 +87,7 @@ pub fn run_workspace(root: &Path) -> Result<Vec<Finding>, String> {
     let sources = ProtocolSources {
         proto: parse_rel("crates/service/src/proto.rs")?,
         server: parse_rel("crates/service/src/server.rs")?,
-        exposition: parse_rel("crates/service/src/exposition.rs")?,
+        metrics: parse_rel("crates/service/src/metrics.rs")?,
         protocol_md: read(&root.join("docs/PROTOCOL.md"))?,
         protocol_md_path: "docs/PROTOCOL.md".to_owned(),
         operations_md: read(&root.join("docs/OPERATIONS.md"))?,

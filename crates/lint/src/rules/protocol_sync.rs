@@ -9,15 +9,17 @@
 //!    `proto.rs` plus the ops `server.rs` short-circuits before
 //!    dispatch) has a `` ### `op` `` heading in PROTOCOL.md, and every
 //!    heading names a real op;
-//! 3. every `pops_*` metric family registered in `exposition.rs`
-//!    appears by full name in OPERATIONS.md's metric-families table,
-//!    and every `pops_*` name in that table is a registered family.
+//! 3. every `pops_*` metric family declared in the metric table of
+//!    `metrics.rs` appears by full name in OPERATIONS.md's
+//!    metric-families table, and every `pops_*` name in that table is a
+//!    declared family; for each family in both, the table's `labels`
+//!    column names exactly the labels its rows declare.
 //!
 //! Extraction failing outright (zero kinds / ops / families found) is
 //! itself a finding: a refactor that blinds the lint must fail CI, not
 //! silently stop guarding.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::source::SourceFile;
 use crate::Finding;
@@ -31,8 +33,8 @@ pub struct ProtocolSources {
     pub proto: SourceFile,
     /// Parsed `crates/service/src/server.rs`.
     pub server: SourceFile,
-    /// Parsed `crates/service/src/exposition.rs`.
-    pub exposition: SourceFile,
+    /// Parsed `crates/service/src/metrics.rs` (the metric table).
+    pub metrics: SourceFile,
     /// `docs/PROTOCOL.md` content.
     pub protocol_md: String,
     /// Path to report PROTOCOL.md findings against.
@@ -76,19 +78,36 @@ pub fn check(sources: &ProtocolSources) -> Vec<Finding> {
         ),
     );
 
-    let code_metrics = registered_families(&sources.exposition);
-    let doc_metrics = documented_families(&sources.operations_md);
+    let code_families = declared_families(&sources.metrics);
+    let doc_families = documented_families(&sources.operations_md);
+    let names = |families: &BTreeMap<String, BTreeSet<String>>| families.keys().cloned().collect();
     cross(
         &mut findings,
-        &code_metrics,
-        &doc_metrics,
+        &names(&code_families),
+        &names(&doc_families),
         "metric family",
-        (&sources.exposition.path, "exposition.rs registration"),
+        (&sources.metrics.path, "the metric table in metrics.rs"),
         (
             &sources.operations_md_path,
             "the metric-families table in OPERATIONS.md",
         ),
     );
+    for (family, declared) in &code_families {
+        let Some(documented) = doc_families.get(family) else {
+            continue;
+        };
+        if declared != documented {
+            findings.push(Finding {
+                rule: RULE,
+                path: sources.operations_md_path.clone(),
+                line: 1,
+                message: format!(
+                    "metric family `{family}` declares labels {declared:?} in metrics.rs but \
+                     the OPERATIONS.md labels column lists {documented:?}"
+                ),
+            });
+        }
+    }
 
     findings
 }
@@ -210,32 +229,59 @@ fn short_circuit_ops(server: &SourceFile) -> BTreeSet<String> {
     ops
 }
 
-/// Every `"pops_*"` string literal in non-test exposition code. The
-/// stripped view keeps quote delimiters, so a literal is recognized by
-/// a `"` at the same char position in both views (comments blank out).
-fn registered_families(exposition: &SourceFile) -> BTreeSet<String> {
-    let mut families = BTreeSet::new();
-    for (i, raw) in exposition.raw.iter().enumerate() {
-        if exposition.test[i] {
+/// Every `"pops_*"` string literal in non-test metrics.rs code, with the
+/// label names its table row declares after it: a source label in
+/// `(label)` and fixed labels in `{label: "value", ...}`. A family spread
+/// over several rows gets the union. The stripped view keeps quote
+/// delimiters, so a literal is recognized by a `"` at the same char
+/// position in both views (comments blank out).
+fn declared_families(metrics: &SourceFile) -> BTreeMap<String, BTreeSet<String>> {
+    let mut families: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+    for (i, raw) in metrics.raw.iter().enumerate() {
+        if metrics.test[i] {
             continue;
         }
-        let code_chars: Vec<char> = exposition.code[i].chars().collect();
+        let code_chars: Vec<char> = metrics.code[i].chars().collect();
         let mut char_at = 0;
         let mut byte_at = 0;
         while let Some(found) = raw[byte_at..].find("\"pops_") {
             let char_pos = char_at + raw[byte_at..byte_at + found].chars().count();
-            let token: String = raw[byte_at + found + 1..]
+            let start = byte_at + found + 1;
+            let token: String = raw[start..]
                 .chars()
                 .take_while(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || *c == '_')
                 .collect();
             if code_chars.get(char_pos) == Some(&'"') && token.len() > "pops_".len() {
-                families.insert(token);
+                let rest = raw[start + token.len()..].trim_start_matches('"');
+                families
+                    .entry(token)
+                    .or_default()
+                    .extend(declared_labels(rest));
             }
             char_at = char_pos + 1;
             byte_at += found + 1;
         }
     }
     families
+}
+
+/// Label names in a row's `(label)` and `{label: "value", ...}` groups
+/// right after its family literal.
+fn declared_labels(rest: &str) -> BTreeSet<String> {
+    let mut labels = BTreeSet::new();
+    let mut rest = rest.trim_start();
+    if let Some((label, after)) = rest.strip_prefix('(').and_then(|r| r.split_once(')')) {
+        labels.insert(label.trim().to_owned());
+        rest = after.trim_start();
+    }
+    if let Some((pairs, _)) = rest.strip_prefix('{').and_then(|r| r.split_once('}')) {
+        for pair in pairs.split(',') {
+            if let Some((label, _)) = pair.split_once(':') {
+                labels.insert(label.trim().to_owned());
+            }
+        }
+    }
+    labels
 }
 
 /// First-cell backticked tokens of the PROTOCOL.md table whose header
@@ -276,29 +322,67 @@ fn documented_ops(protocol_md: &str) -> BTreeSet<String> {
 }
 
 /// Every backticked `pops_*` token in table rows of OPERATIONS.md's
-/// "Metric families" section (up to the next heading).
-fn documented_families(operations_md: &str) -> BTreeSet<String> {
-    let mut families = BTreeSet::new();
+/// "Metric families" section (up to the next heading), with the label
+/// names of the row's `labels` column: backticked tokens outside
+/// parentheses, cut at `=` (`` `topology="DxG"` `` names `topology`).
+fn documented_families(operations_md: &str) -> BTreeMap<String, BTreeSet<String>> {
+    let mut families = BTreeMap::new();
     let mut in_section = false;
+    let mut labels_column = None;
     for line in operations_md.lines() {
         if line.starts_with("##") {
             in_section = line.contains("Metric families");
+            labels_column = None;
             continue;
         }
         if !in_section || !line.trim_start().starts_with('|') {
             continue;
         }
+        let cells: Vec<&str> = line
+            .trim()
+            .trim_matches('|')
+            .split('|')
+            .map(str::trim)
+            .collect();
+        if labels_column.is_none() {
+            labels_column = cells.iter().position(|c| *c == "labels");
+        }
+        let labels = labels_column
+            .and_then(|at| cells.get(at))
+            .map_or_else(BTreeSet::new, |cell| documented_labels(cell));
         for piece in line.split('`').skip(1).step_by(2) {
             if piece.starts_with("pops_")
                 && piece
                     .chars()
                     .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
             {
-                families.insert(piece.to_owned());
+                families.insert(piece.to_owned(), labels.clone());
             }
         }
     }
     families
+}
+
+/// Label names in one OPERATIONS.md labels cell.
+fn documented_labels(cell: &str) -> BTreeSet<String> {
+    let mut outside = String::new();
+    let mut depth = 0usize;
+    for c in cell.chars() {
+        match c {
+            '(' => depth += 1,
+            ')' => depth = depth.saturating_sub(1),
+            _ if depth == 0 => outside.push(c),
+            _ => {}
+        }
+    }
+    outside
+        .split('`')
+        .skip(1)
+        .step_by(2)
+        .filter_map(|token| token.split('=').next())
+        .map(|label| label.trim().to_owned())
+        .filter(|label| !label.is_empty())
+        .collect()
 }
 
 /// The token between the first pair of backticks in `cell`, if any.

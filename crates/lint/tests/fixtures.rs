@@ -149,7 +149,7 @@ fn mini_sources() -> protocol_sync::ProtocolSources {
     protocol_sync::ProtocolSources {
         proto: SourceFile::parse("proto.rs", &fixture("protocol/proto.rs")),
         server: SourceFile::parse("server.rs", &fixture("protocol/server.rs")),
-        exposition: SourceFile::parse("exposition.rs", &fixture("protocol/exposition.rs")),
+        metrics: SourceFile::parse("metrics.rs", &fixture("protocol/metrics.rs")),
         protocol_md: fixture("protocol/PROTOCOL.md"),
         protocol_md_path: "PROTOCOL.md".to_owned(),
         operations_md: fixture("protocol/OPERATIONS.md"),
@@ -249,6 +249,53 @@ fn extraction_collapse_is_itself_a_finding() {
     );
 }
 
+#[test]
+fn an_empty_metric_table_is_itself_a_finding() {
+    let mut sources = mini_sources();
+    sources.metrics = SourceFile::parse("metrics.rs", "pub fn nothing_here() {}\n");
+    let findings = protocol_sync::check(&sources);
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.message.contains("extracted zero metric family")),
+        "{findings:?}"
+    );
+}
+
+#[test]
+fn a_documented_label_the_table_never_declares_fires() {
+    let mut sources = mini_sources();
+    sources.operations_md = sources.operations_md.replace(
+        "| `pops_requests_total` | counter | `kind` |",
+        "| `pops_requests_total` | counter | `kind`, `level` |",
+    );
+    let findings = protocol_sync::check(&sources);
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.message.contains("`pops_requests_total`")
+                && f.message.contains("labels column")),
+        "{findings:?}"
+    );
+}
+
+#[test]
+fn a_declared_label_missing_from_the_docs_fires() {
+    let mut sources = mini_sources();
+    sources.operations_md = sources.operations_md.replace(
+        "| `pops_cache_hits_total` | counter | `level` (`l1`/`l2`) |",
+        "| `pops_cache_hits_total` | counter | |",
+    );
+    let findings = protocol_sync::check(&sources);
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.message.contains("`pops_cache_hits_total`")
+                && f.message.contains("labels column")),
+        "{findings:?}"
+    );
+}
+
 fn drop_line(text: &str, containing: &str) -> String {
     let kept: Vec<&str> = text.lines().filter(|l| !l.contains(containing)).collect();
     assert!(
@@ -278,9 +325,9 @@ fn real_sources() -> protocol_sync::ProtocolSources {
             "crates/service/src/server.rs",
             &read("crates/service/src/server.rs"),
         ),
-        exposition: SourceFile::parse(
-            "crates/service/src/exposition.rs",
-            &read("crates/service/src/exposition.rs"),
+        metrics: SourceFile::parse(
+            "crates/service/src/metrics.rs",
+            &read("crates/service/src/metrics.rs"),
         ),
         protocol_md: read("docs/PROTOCOL.md"),
         protocol_md_path: "docs/PROTOCOL.md".to_owned(),

@@ -1,29 +1,14 @@
 //! Prometheus text exposition for the serving daemon.
 //!
-//! [`render`] turns the fleet-wide [`MetricsSnapshot`] (plus the
-//! per-topology breakdown and the [`TopologyRouter`](crate::TopologyRouter)
-//! registry counters) into the Prometheus text format, version 0.0.4:
-//! every family is announced with `# HELP`/`# TYPE` lines, counters carry
-//! the `_total` suffix, and the log₂ latency histograms become proper
-//! cumulative-`le` histogram families. Metric names are part of the
-//! operational contract — dashboards and alert rules reference them — so
-//! treat renames like wire-protocol changes (see docs/OPERATIONS.md for
-//! the full name table).
-//!
-//! Label conventions:
-//!
-//! - `kind="theorem2"` … — the request kind, on fleet request/latency
-//!   families ([`RequestKind::name`](crate::RequestKind::name)).
-//! - `topology="4x4"` — a resident `(d, g)` shape, on `pops_topology_*`
-//!   families. Fleet totals intentionally live in *separate* families:
-//!   per-topology series disappear when a shape is evicted, while the
-//!   fleet families keep counting (the retired-topology ledger keeps them
-//!   monotonic).
-//! - `format="json"|"binary"` — the wire framing, on connection and byte
-//!   counters.
-//! - `error_kind="parse"|…|"overloaded"` — the typed wire-error kind on
-//!   `pops_wire_errors_total` ([`WireErrorKind::name`]).
-//! - `cause="watermark"|"quota"` — why overload control shed a request.
+//! [`render`] walks the metric tables of [`crate::metrics`] over the
+//! fleet-wide [`MetricsSnapshot`], its per-kind and per-topology
+//! breakdowns and the [`TopologyRouter`](crate::TopologyRouter) counters,
+//! and writes the Prometheus text format, version 0.0.4: every family is
+//! announced once with `# HELP`/`# TYPE` lines, counters carry the
+//! `_total` suffix, and the log₂ latency histograms become cumulative-`le`
+//! histogram families. Metric names are part of the operational contract
+//! — dashboards and alert rules reference them — so treat renames like
+//! wire-protocol changes (see docs/OPERATIONS.md for the full name table).
 //!
 //! The module also owns the minimal HTTP plumbing the server needs to
 //! answer `GET /metrics` on its main listener or a `--metrics-port`
@@ -31,10 +16,12 @@
 //! the JSON/binary wire protocol, and [`http_ok`]/[`http_not_found`]
 //! build complete `HTTP/1.0` close-delimited responses.
 
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 
-use crate::metrics::{KindSnapshot, MetricsSnapshot, HISTOGRAM_BUCKETS};
-use crate::proto::WireErrorKind;
+use crate::metrics::{
+    bucket_edge, Metric, MetricKind, MetricsSnapshot, Reading, KIND_ROWS, PROCESS_ROWS,
+    ROUTER_ROWS, SNAPSHOT_ROWS, TOPOLOGY_ROWS,
+};
 use crate::router::RouterStats;
 
 /// The content type of the rendered exposition.
@@ -62,631 +49,120 @@ pub struct Exposition<'a> {
 
 /// Renders the full exposition document.
 pub fn render(x: &Exposition<'_>) -> String {
+    let kinds: Vec<_> = x
+        .aggregate
+        .per_kind
+        .iter()
+        .map(|k| (k, k.kind.name().to_owned()))
+        .collect();
+    let shapes: Vec<_> = x
+        .topologies
+        .iter()
+        .map(|(d, g, s)| (s, format!("{d}x{g}")))
+        .collect();
+    let router = (x.topologies.len() as u64, *x.router);
+    let mut page = Vec::new();
+    add(
+        &mut page,
+        PROCESS_ROWS,
+        &[(&x.uptime_secs, x.version.to_owned())],
+    );
+    add(&mut page, SNAPSHOT_ROWS, &[(x.aggregate, String::new())]);
+    add(&mut page, KIND_ROWS, &kinds);
+    add(&mut page, ROUTER_ROWS, &[(&router, String::new())]);
+    add(&mut page, TOPOLOGY_ROWS, &shapes);
     let mut out = String::with_capacity(8192);
-    let snap = x.aggregate;
-
-    family(
-        &mut out,
-        "pops_build_info",
-        "gauge",
-        "Constant 1, labelled with the server's crate version.",
-    );
-    sample(&mut out, "pops_build_info", &[("version", x.version)], 1);
-    family(
-        &mut out,
-        "pops_uptime_seconds",
-        "gauge",
-        "Seconds since the server started.",
-    );
-    sample(&mut out, "pops_uptime_seconds", &[], x.uptime_secs);
-
-    family(
-        &mut out,
-        "pops_requests_total",
-        "counter",
-        "Single routing requests served, by request kind.",
-    );
-    for k in &snap.per_kind {
-        sample(
-            &mut out,
-            "pops_requests_total",
-            &[("kind", k.kind.name())],
-            k.requests,
-        );
+    for family in page {
+        let _ = writeln!(out, "# HELP {} {}", family.name, family.help);
+        let _ = writeln!(out, "# TYPE {} {}", family.name, family.kind.name());
+        out.push_str(&family.samples);
     }
-    family(
-        &mut out,
-        "pops_request_errors_total",
-        "counter",
-        "Routing requests that returned an error, by request kind.",
-    );
-    for k in &snap.per_kind {
-        sample(
-            &mut out,
-            "pops_request_errors_total",
-            &[("kind", k.kind.name())],
-            k.errors,
-        );
-    }
-    family(
-        &mut out,
-        "pops_request_duration_microseconds",
-        "histogram",
-        "Service latency of single routing requests, by request kind.",
-    );
-    for k in &snap.per_kind {
-        histogram(
-            &mut out,
-            "pops_request_duration_microseconds",
-            &[("kind", k.kind.name())],
-            &k.latency,
-            k.total_micros,
-        );
-    }
-
-    family(
-        &mut out,
-        "pops_cache_hits_total",
-        "counter",
-        "Plan-cache hits: level l1 is whole plans, l2 is h-relation phases.",
-    );
-    sample(
-        &mut out,
-        "pops_cache_hits_total",
-        &[("level", "l1")],
-        snap.hits,
-    );
-    sample(
-        &mut out,
-        "pops_cache_hits_total",
-        &[("level", "l2")],
-        snap.phase_hits,
-    );
-    family(
-        &mut out,
-        "pops_cache_misses_total",
-        "counter",
-        "Plan-cache misses, by cache level.",
-    );
-    sample(
-        &mut out,
-        "pops_cache_misses_total",
-        &[("level", "l1")],
-        snap.misses,
-    );
-    sample(
-        &mut out,
-        "pops_cache_misses_total",
-        &[("level", "l2")],
-        snap.phase_misses,
-    );
-    family(
-        &mut out,
-        "pops_cache_entries",
-        "gauge",
-        "Plans currently cached, by cache level.",
-    );
-    sample(
-        &mut out,
-        "pops_cache_entries",
-        &[("level", "l1")],
-        snap.cache_entries,
-    );
-    sample(
-        &mut out,
-        "pops_cache_entries",
-        &[("level", "l2")],
-        snap.phase_cache_entries,
-    );
-    family(
-        &mut out,
-        "pops_cache_capacity",
-        "gauge",
-        "Plan-cache capacity, by cache level.",
-    );
-    sample(
-        &mut out,
-        "pops_cache_capacity",
-        &[("level", "l1")],
-        snap.cache_capacity,
-    );
-    sample(
-        &mut out,
-        "pops_cache_capacity",
-        &[("level", "l2")],
-        snap.phase_cache_capacity,
-    );
-
-    family(
-        &mut out,
-        "pops_slots_emitted_total",
-        "counter",
-        "Total slots across every schedule the service emitted.",
-    );
-    sample(
-        &mut out,
-        "pops_slots_emitted_total",
-        &[],
-        snap.slots_emitted,
-    );
-    family(
-        &mut out,
-        "pops_pool_acquisitions_total",
-        "counter",
-        "Engine-pool acquisitions, by outcome.",
-    );
-    sample(
-        &mut out,
-        "pops_pool_acquisitions_total",
-        &[("outcome", "fast")],
-        snap.pool_fast,
-    );
-    sample(
-        &mut out,
-        "pops_pool_acquisitions_total",
-        &[("outcome", "overflow")],
-        snap.pool_overflows,
-    );
-    sample(
-        &mut out,
-        "pops_pool_acquisitions_total",
-        &[("outcome", "blocked")],
-        snap.pool_blocked,
-    );
-    family(
-        &mut out,
-        "pops_admission_waits_total",
-        "counter",
-        "Requests that had to wait at the admission gate.",
-    );
-    sample(
-        &mut out,
-        "pops_admission_waits_total",
-        &[],
-        snap.admission_waits,
-    );
-    family(
-        &mut out,
-        "pops_batches_total",
-        "counter",
-        "Batch submissions.",
-    );
-    sample(&mut out, "pops_batches_total", &[], snap.batches);
-    family(
-        &mut out,
-        "pops_batch_plans_total",
-        "counter",
-        "Plans produced by batch submissions.",
-    );
-    sample(&mut out, "pops_batch_plans_total", &[], snap.batch_plans);
-
-    family(
-        &mut out,
-        "pops_connections_opened_total",
-        "counter",
-        "Connections accepted and handed to a handler.",
-    );
-    sample(
-        &mut out,
-        "pops_connections_opened_total",
-        &[],
-        snap.conns_opened,
-    );
-    family(
-        &mut out,
-        "pops_connections_closed_total",
-        "counter",
-        "Connections whose handler has exited.",
-    );
-    sample(
-        &mut out,
-        "pops_connections_closed_total",
-        &[],
-        snap.conns_closed,
-    );
-    family(
-        &mut out,
-        "pops_connections_rejected_total",
-        "counter",
-        "Connections refused at the capacity limit.",
-    );
-    sample(
-        &mut out,
-        "pops_connections_rejected_total",
-        &[],
-        snap.conns_rejected,
-    );
-    family(
-        &mut out,
-        "pops_connections_active",
-        "gauge",
-        "Connections currently live.",
-    );
-    sample(
-        &mut out,
-        "pops_connections_active",
-        &[],
-        snap.active_connections(),
-    );
-    family(
-        &mut out,
-        "pops_connections_format_total",
-        "counter",
-        "Connections by negotiated wire format (every connection starts \
-         as json; binary counts successful hello negotiations).",
-    );
-    sample(
-        &mut out,
-        "pops_connections_format_total",
-        &[("format", "json")],
-        snap.json_connections(),
-    );
-    sample(
-        &mut out,
-        "pops_connections_format_total",
-        &[("format", "binary")],
-        snap.conns_binary,
-    );
-    family(
-        &mut out,
-        "pops_wire_bytes_total",
-        "counter",
-        "Wire traffic in bytes, by format and direction.",
-    );
-    for (format, bytes_in, bytes_out) in [
-        ("json", snap.json_bytes_in, snap.json_bytes_out),
-        ("binary", snap.binary_bytes_in, snap.binary_bytes_out),
-    ] {
-        sample(
-            &mut out,
-            "pops_wire_bytes_total",
-            &[("format", format), ("direction", "in")],
-            bytes_in,
-        );
-        sample(
-            &mut out,
-            "pops_wire_bytes_total",
-            &[("format", format), ("direction", "out")],
-            bytes_out,
-        );
-    }
-    family(
-        &mut out,
-        "pops_oversized_lines_total",
-        "counter",
-        "Request lines rejected for exceeding the length cap.",
-    );
-    sample(
-        &mut out,
-        "pops_oversized_lines_total",
-        &[],
-        snap.oversized_lines,
-    );
-    family(
-        &mut out,
-        "pops_read_timeouts_total",
-        "counter",
-        "Connections dropped because a complete request never arrived in time.",
-    );
-    sample(
-        &mut out,
-        "pops_read_timeouts_total",
-        &[],
-        snap.read_timeouts,
-    );
-
-    family(
-        &mut out,
-        "pops_sheds_total",
-        "counter",
-        "Requests shed by overload control, by cause.",
-    );
-    sample(
-        &mut out,
-        "pops_sheds_total",
-        &[("cause", "watermark")],
-        snap.sheds_watermark,
-    );
-    sample(
-        &mut out,
-        "pops_sheds_total",
-        &[("cause", "quota")],
-        snap.sheds_quota,
-    );
-    family(
-        &mut out,
-        "pops_slow_traces_total",
-        "counter",
-        "Slow-request trace lines, by whether the rate limiter let them through.",
-    );
-    sample(
-        &mut out,
-        "pops_slow_traces_total",
-        &[("outcome", "emitted")],
-        snap.slow_traces,
-    );
-    sample(
-        &mut out,
-        "pops_slow_traces_total",
-        &[("outcome", "suppressed")],
-        snap.slow_traces_suppressed,
-    );
-    family(
-        &mut out,
-        "pops_wire_errors_total",
-        "counter",
-        "Typed error responses written on the wire, by error kind.",
-    );
-    for (kind, count) in WireErrorKind::ALL.into_iter().zip(snap.wire_errors) {
-        sample(
-            &mut out,
-            "pops_wire_errors_total",
-            &[("error_kind", kind.name())],
-            count,
-        );
-    }
-
-    family(
-        &mut out,
-        "pops_degraded_plans_total",
-        "counter",
-        "Plans computed by the greedy fault router under a non-empty fault set.",
-    );
-    sample(
-        &mut out,
-        "pops_degraded_plans_total",
-        &[],
-        snap.degraded_plans,
-    );
-    family(
-        &mut out,
-        "pops_degraded_hits_total",
-        "counter",
-        "Plan-cache hits answered from a degraded (fault-keyed) cache entry.",
-    );
-    sample(
-        &mut out,
-        "pops_degraded_hits_total",
-        &[],
-        snap.degraded_hits,
-    );
-    family(
-        &mut out,
-        "pops_unroutable_refusals_total",
-        "counter",
-        "Requests refused before planning because the fault set left the fabric not fully routable.",
-    );
-    sample(
-        &mut out,
-        "pops_unroutable_refusals_total",
-        &[],
-        snap.unroutable_refusals,
-    );
-
-    family(
-        &mut out,
-        "pops_arena_bytes",
-        "gauge",
-        "Engine-arena bytes across every resident topology's pool.",
-    );
-    sample(&mut out, "pops_arena_bytes", &[], snap.arena_bytes);
-
-    family(
-        &mut out,
-        "pops_router_topologies",
-        "gauge",
-        "Topologies currently resident in the registry.",
-    );
-    sample(
-        &mut out,
-        "pops_router_topologies",
-        &[],
-        x.topologies.len() as u64,
-    );
-    family(
-        &mut out,
-        "pops_router_hits_total",
-        "counter",
-        "Registry lookups answered by an already-resident service.",
-    );
-    sample(&mut out, "pops_router_hits_total", &[], x.router.hits);
-    family(
-        &mut out,
-        "pops_router_built_total",
-        "counter",
-        "Services constructed on demand.",
-    );
-    sample(&mut out, "pops_router_built_total", &[], x.router.built);
-    family(
-        &mut out,
-        "pops_router_evictions_total",
-        "counter",
-        "Unpinned topologies evicted to make room.",
-    );
-    sample(
-        &mut out,
-        "pops_router_evictions_total",
-        &[],
-        x.router.evictions,
-    );
-    family(
-        &mut out,
-        "pops_router_rejections_total",
-        "counter",
-        "Registry lookups refused at capacity.",
-    );
-    sample(
-        &mut out,
-        "pops_router_rejections_total",
-        &[],
-        x.router.rejections,
-    );
-
-    // Per-topology families. These cover *resident* shapes only — series
-    // vanish on eviction, which is why fleet totals live in the separate
-    // (monotonic) families above.
-    family(
-        &mut out,
-        "pops_topology_requests_total",
-        "counter",
-        "Single requests served by a resident topology.",
-    );
-    for (d, g, s) in x.topologies {
-        let label = topology_label(*d, *g);
-        sample(
-            &mut out,
-            "pops_topology_requests_total",
-            &[("topology", &label)],
-            s.requests(),
-        );
-    }
-    family(
-        &mut out,
-        "pops_topology_errors_total",
-        "counter",
-        "Routing errors on a resident topology.",
-    );
-    for (d, g, s) in x.topologies {
-        let label = topology_label(*d, *g);
-        sample(
-            &mut out,
-            "pops_topology_errors_total",
-            &[("topology", &label)],
-            s.errors,
-        );
-    }
-    family(
-        &mut out,
-        "pops_topology_cache_hits_total",
-        "counter",
-        "Level-1 plan-cache hits on a resident topology.",
-    );
-    for (d, g, s) in x.topologies {
-        let label = topology_label(*d, *g);
-        sample(
-            &mut out,
-            "pops_topology_cache_hits_total",
-            &[("topology", &label)],
-            s.hits,
-        );
-    }
-    family(
-        &mut out,
-        "pops_topology_arena_bytes",
-        "gauge",
-        "Engine-arena bytes held by a resident topology's pool.",
-    );
-    for (d, g, s) in x.topologies {
-        let label = topology_label(*d, *g);
-        sample(
-            &mut out,
-            "pops_topology_arena_bytes",
-            &[("topology", &label)],
-            s.arena_bytes,
-        );
-    }
-    family(
-        &mut out,
-        "pops_topology_request_duration_microseconds",
-        "histogram",
-        "Service latency on a resident topology, all request kinds merged.",
-    );
-    for (d, g, s) in x.topologies {
-        let label = topology_label(*d, *g);
-        let (buckets, total_micros) = merge_kind_histograms(&s.per_kind);
-        histogram(
-            &mut out,
-            "pops_topology_request_duration_microseconds",
-            &[("topology", &label)],
-            &buckets,
-            total_micros,
-        );
-    }
-
     out
 }
 
-/// The `topology` label value for a `(d, g)` shape: `"4x4"`.
-pub fn topology_label(d: usize, g: usize) -> String {
-    format!("{d}x{g}")
+/// One family of the page under construction.
+struct PageFamily {
+    name: &'static str,
+    kind: MetricKind,
+    help: &'static str,
+    samples: String,
 }
 
-/// Sums the per-kind latency histograms into one bucket array, returning
-/// `(buckets, total_micros)`.
-fn merge_kind_histograms(kinds: &[KindSnapshot]) -> ([u64; HISTOGRAM_BUCKETS], u64) {
-    let mut buckets = [0u64; HISTOGRAM_BUCKETS];
-    let mut total_micros = 0u64;
-    for k in kinds {
-        for (slot, add) in buckets.iter_mut().zip(&k.latency) {
-            *slot += add;
+/// Adds every exported row of `rows` to its family on `page` (families
+/// stay in first-seen order), with one sample per `(source, value of the
+/// rows' source label)`; a family with no sources still gets its header.
+fn add<S>(page: &mut Vec<PageFamily>, rows: &[Metric<S>], sources: &[(&S, String)]) {
+    for row in rows.iter().filter(|row| !row.family.is_empty()) {
+        let at = match page.iter().position(|f| f.name == row.family) {
+            Some(at) => at,
+            None => {
+                page.push(PageFamily {
+                    name: row.family,
+                    kind: row.kind,
+                    help: row.help,
+                    samples: String::new(),
+                });
+                page.len() - 1
+            }
+        };
+        let out = &mut page[at].samples;
+        for (src, label) in sources {
+            let mut labels = Vec::new();
+            if !row.label.is_empty() {
+                labels.push((row.label, label.as_str()));
+            }
+            labels.extend_from_slice(row.labels);
+            match (row.read)(src) {
+                Reading::Count(n) => sample(out, row.family, &labels, n),
+                Reading::Ratio(r) => sample(out, row.family, &labels, r),
+                Reading::Labelled(values) => {
+                    for (value, n) in values {
+                        labels[0].1 = value;
+                        sample(out, row.family, &labels, n);
+                    }
+                }
+                Reading::Histogram(buckets, sum) => {
+                    histogram(out, row.family, &labels, &buckets, sum)
+                }
+            }
         }
-        total_micros += k.total_micros;
     }
-    (buckets, total_micros)
-}
-
-/// Writes the `# HELP` / `# TYPE` header for one family.
-fn family(out: &mut String, name: &str, kind: &str, help: &str) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} {kind}");
 }
 
 /// Writes one sample line: `name{k="v",...} value`.
-fn sample(out: &mut String, name: &str, labels: &[(&str, &str)], value: u64) {
+fn sample(out: &mut String, name: &str, labels: &[(&str, &str)], value: impl Display) {
     out.push_str(name);
-    write_labels(out, labels);
+    if !labels.is_empty() {
+        out.push('{');
+        for (i, (k, v)) in labels.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "{k}=\"{}\"", escape_label(v));
+        }
+        out.push('}');
+    }
     let _ = writeln!(out, " {value}");
 }
 
 /// Renders one log₂ histogram as cumulative `le` buckets plus `_sum` and
-/// `_count`. Latencies are recorded in integer microseconds, so bucket
-/// `i` (counting `2^(i-1) ≤ µs < 2^i`) has the **exact** inclusive upper
-/// bound `2^i - 1`; the rendered bounds are `0, 1, 3, 7, …`.
-fn histogram(
-    out: &mut String,
-    name: &str,
-    labels: &[(&str, &str)],
-    buckets: &[u64; HISTOGRAM_BUCKETS],
-    sum_micros: u64,
-) {
+/// `_count`; bucket `i` has the exact inclusive upper bound
+/// [`bucket_edge`]`(i)`.
+fn histogram(out: &mut String, name: &str, labels: &[(&str, &str)], buckets: &[u64], sum: u64) {
+    let edges = (0..buckets.len()).map(|i| bucket_edge(i).to_string());
+    let bucket_name = format!("{name}_bucket");
     let mut cumulative = 0u64;
-    for (i, count) in buckets.iter().enumerate() {
+    for (le, count) in edges
+        .chain(["+Inf".to_owned()])
+        .zip(buckets.iter().chain([&0]))
+    {
         cumulative += count;
-        let le = (1u64 << i) - 1;
-        bucket_line(out, name, labels, &le.to_string(), cumulative);
+        let mut with_le = labels.to_vec();
+        with_le.push(("le", &le));
+        sample(out, &bucket_name, &with_le, cumulative);
     }
-    bucket_line(out, name, labels, "+Inf", cumulative);
-    out.push_str(name);
-    out.push_str("_sum");
-    write_labels(out, labels);
-    let _ = writeln!(out, " {sum_micros}");
-    out.push_str(name);
-    out.push_str("_count");
-    write_labels(out, labels);
-    let _ = writeln!(out, " {cumulative}");
-}
-
-fn bucket_line(out: &mut String, name: &str, labels: &[(&str, &str)], le: &str, value: u64) {
-    out.push_str(name);
-    out.push_str("_bucket{");
-    for (k, v) in labels {
-        let _ = write!(out, "{k}=\"{}\",", escape_label(v));
-    }
-    let _ = writeln!(out, "le=\"{le}\"}} {value}");
-}
-
-fn write_labels(out: &mut String, labels: &[(&str, &str)]) {
-    if labels.is_empty() {
-        return;
-    }
-    out.push('{');
-    for (i, (k, v)) in labels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{k}=\"{}\"", escape_label(v));
-    }
-    out.push('}');
+    sample(out, &format!("{name}_sum"), labels, sum);
+    sample(out, &format!("{name}_count"), labels, cumulative);
 }
 
 /// Escapes a label value per the exposition format: backslash, double
@@ -747,7 +223,7 @@ pub fn http_not_found() -> Vec<u8> {
 mod tests {
     use super::*;
     use crate::metrics::ServiceMetrics;
-    use crate::RequestKind;
+    use crate::{RequestKind, WireErrorKind};
 
     fn demo_exposition() -> String {
         let m = ServiceMetrics::new();
@@ -759,10 +235,10 @@ mod tests {
         m.record_shed(true);
         m.record_wire_error(WireErrorKind::Overloaded);
         m.record_wire_bytes(true, 10, 20);
-        m.record_degraded_plan();
-        m.record_degraded_hit();
-        m.record_degraded_hit();
-        m.record_unroutable();
+        m.degraded_plans.inc();
+        m.degraded_hits.inc();
+        m.degraded_hits.inc();
+        m.unroutable_refusals.inc();
         let aggregate = m.snapshot();
         let per_topology = vec![
             (4, 4, m.snapshot()),
@@ -886,6 +362,22 @@ mod tests {
         assert!(text.contains("pops_uptime_seconds 42"), "{text}");
         assert!(text.contains("pops_router_evictions_total 1"), "{text}");
         assert!(text.contains("pops_router_topologies 2"), "{text}");
+    }
+
+    #[test]
+    fn families_without_samples_keep_their_header() {
+        let text = render(&Exposition {
+            aggregate: &MetricsSnapshot::zero(),
+            topologies: &[],
+            router: &RouterStats::default(),
+            version: "1.2.3",
+            uptime_secs: 0,
+        });
+        assert!(
+            text.contains("# TYPE pops_topology_requests_total counter\n# HELP"),
+            "{text}"
+        );
+        assert!(text.contains("pops_router_topologies 0"), "{text}");
     }
 
     #[test]

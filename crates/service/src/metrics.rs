@@ -1,17 +1,36 @@
-//! The service metrics registry: lock-free counters and log₂ latency
-//! histograms, updated on every request and rendered as a snapshot.
+//! The service metrics registry: one declarative table of every metric,
+//! lock-free counters and log₂ latency histograms.
 //!
-//! Everything is a relaxed atomic — metrics never serialize the request
-//! path. A [`MetricsSnapshot`] is a plain-data copy taken at one instant;
-//! the server's `stats` op and the CLI's exit summary both render from it.
+//! Every metric is declared **once**, as a row of a table below. A row
+//! names the metric, says whether it is a `counter` (monotonic; a relaxed
+//! atomic in [`ServiceMetrics`]), a `gauge` (a current level, filled into
+//! the snapshot by [`crate::RoutingService::metrics`]) or a `histogram`,
+//! and then lists, in order:
+//!
+//! - an optional `(read)` function, for a value derived from other
+//!   fields instead of stored in a field of its own;
+//! - its paths in the `stats` document, e.g. `["cache", "l1", "hits"]`;
+//! - after `=>`, its Prometheus family: name, an optional `(label)`
+//!   whose value comes from the row's source (request kind, topology, …),
+//!   optional fixed `{label: "value"}` pairs, and the `# HELP` text. A
+//!   family spread over several rows carries its help on the first one.
+//!
+//! From `SNAPSHOT_ROWS` the macro generates the [`ServiceMetrics`]
+//! atomics, the [`MetricsSnapshot`] fields, `snapshot`, `absorb` and
+//! `clear_gauges`; the `stats` op (`json_fields`) and `/metrics`
+//! ([`crate::exposition`]) walk the tables. Recording stays a relaxed
+//! `fetch_add` on a field known at compile time.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::json::Json;
 use crate::proto::WireErrorKind;
+use crate::router::RouterStats;
 
-/// Number of latency buckets: bucket `i` counts requests whose latency in
-/// microseconds `µs` satisfies `2^(i-1) ≤ µs < 2^i` (bucket 0 is `< 1 µs`).
+/// Number of registry latency buckets: bucket `i` counts requests whose
+/// latency in microseconds `µs` satisfies `2^(i-1) ≤ µs < 2^i` (bucket 0
+/// is `< 1 µs`).
 pub const HISTOGRAM_BUCKETS: usize = 24;
 
 /// Number of wire-error kinds tracked by the per-kind error counters
@@ -49,14 +68,7 @@ impl RequestKind {
 
     /// The kind's index into per-kind metric arrays.
     pub fn index(self) -> usize {
-        match self {
-            RequestKind::Theorem2 => 0,
-            RequestKind::SingleSlot => 1,
-            RequestKind::HRelation => 2,
-            RequestKind::WithFaults => 3,
-            RequestKind::Direct => 4,
-            RequestKind::Structured => 5,
-        }
+        self as usize
     }
 
     /// The kind's wire name (used by the JSON protocol and reports).
@@ -77,111 +89,568 @@ impl RequestKind {
     }
 }
 
-/// A log₂-bucketed latency histogram in microseconds.
+/// A monotonic counter: one relaxed atomic.
 #[derive(Debug, Default)]
-pub struct LatencyHistogram {
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
+pub(crate) struct Counter(AtomicU64);
+
+impl Counter {
+    /// Adds one.
+    pub fn inc(&self) {
+        self.add(1);
+    }
+
+    /// Adds `n`.
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// The current count.
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
 }
 
-impl LatencyHistogram {
+/// A log₂-bucketed latency histogram in microseconds with `N` buckets:
+/// bucket `i` counts `2^(i-1) ≤ µs < 2^i`, and the last bucket also
+/// takes everything beyond. The registry keeps [`HISTOGRAM_BUCKETS`];
+/// replay reports keep 64, enough for any `u64`.
+#[derive(Debug)]
+pub struct LatencyHistogram<const N: usize = HISTOGRAM_BUCKETS> {
+    buckets: [AtomicU64; N],
+}
+
+impl<const N: usize> Default for LatencyHistogram<N> {
+    fn default() -> Self {
+        Self {
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+        }
+    }
+}
+
+impl<const N: usize> Clone for LatencyHistogram<N> {
+    fn clone(&self) -> Self {
+        Self {
+            buckets: self.snapshot().map(AtomicU64::new),
+        }
+    }
+}
+
+impl<const N: usize> LatencyHistogram<N> {
     /// Records one observation.
     pub fn record(&self, micros: u64) {
         let bucket = (u64::BITS - micros.leading_zeros()) as usize;
-        let bucket = bucket.min(HISTOGRAM_BUCKETS - 1);
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
+        self.buckets[bucket.min(N - 1)].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Adds another histogram's bucket counts into this one.
+    pub fn absorb(&self, counts: &[u64; N]) {
+        for (bucket, &n) in self.buckets.iter().zip(counts) {
+            bucket.fetch_add(n, Ordering::Relaxed);
+        }
     }
 
     /// Plain-data copy of the bucket counts.
-    pub fn snapshot(&self) -> [u64; HISTOGRAM_BUCKETS] {
-        let mut out = [0u64; HISTOGRAM_BUCKETS];
-        for (slot, bucket) in out.iter_mut().zip(&self.buckets) {
-            *slot = bucket.load(Ordering::Relaxed);
-        }
-        out
+    pub fn snapshot(&self) -> [u64; N] {
+        self.buckets.each_ref().map(|b| b.load(Ordering::Relaxed))
     }
 }
+
+/// The inclusive upper bound of log₂ bucket `i`: `2^i − 1` µs. Latencies
+/// are whole microseconds, so this is exact (`0, 1, 3, 7, …`).
+pub(crate) fn bucket_edge(i: usize) -> u64 {
+    (1u64 << i) - 1
+}
+
+/// The `q`-quantile of log₂ bucket counts, reported as the inclusive
+/// upper edge ([`bucket_edge`]) of the bucket holding it; 0 when empty.
+/// `/metrics`, the `stats` op and replay reports all use this edge.
+pub(crate) fn quantile(buckets: &[u64], q: f64) -> u64 {
+    let total: u64 = buckets.iter().sum();
+    if total == 0 {
+        return 0;
+    }
+    let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
+    let mut seen = 0;
+    for (i, &count) in buckets.iter().enumerate() {
+        seen += count;
+        if seen >= rank {
+            return bucket_edge(i);
+        }
+    }
+    bucket_edge(buckets.len() - 1)
+}
+
+/// Whether a metric only grows, reports a current level, or is a
+/// latency distribution. The Prometheus `# TYPE` of its family.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum MetricKind {
+    /// Monotonic; kept by the retired-topology ledger.
+    Counter,
+    /// A current level; summed across registries, zeroed on retirement.
+    Gauge,
+    /// A log₂ latency histogram.
+    Histogram,
+}
+
+impl MetricKind {
+    /// The Prometheus type name.
+    pub fn name(self) -> &'static str {
+        match self {
+            MetricKind::Counter => "counter",
+            MetricKind::Gauge => "gauge",
+            MetricKind::Histogram => "histogram",
+        }
+    }
+}
+
+/// One row's value, read at render time.
+#[derive(Debug, Clone)]
+pub(crate) enum Reading {
+    /// A count or level.
+    Count(u64),
+    /// A ratio (stats-document only).
+    Ratio(f64),
+    /// One count per value of the row's source label.
+    Labelled(Vec<(&'static str, u64)>),
+    /// Log₂ bucket counts and the sum of the observations.
+    Histogram([u64; HISTOGRAM_BUCKETS], u64),
+}
+
+impl From<u64> for Reading {
+    fn from(n: u64) -> Self {
+        Reading::Count(n)
+    }
+}
+
+impl From<f64> for Reading {
+    fn from(r: f64) -> Self {
+        Reading::Ratio(r)
+    }
+}
+
+impl Reading {
+    fn json(self) -> Json {
+        match self {
+            Reading::Count(n) => Json::Num(n as f64),
+            Reading::Ratio(r) => Json::Num(r),
+            Reading::Labelled(values) => Json::Obj(
+                values
+                    .into_iter()
+                    .map(|(key, n)| (key.to_owned(), Json::Num(n as f64)))
+                    .collect(),
+            ),
+            Reading::Histogram(..) => Json::Null,
+        }
+    }
+}
+
+/// One declared metric, read from a source `S`.
+#[derive(Debug)]
+pub(crate) struct Metric<S> {
+    /// Counter, gauge or histogram.
+    pub(crate) kind: MetricKind,
+    /// Paths in the `stats` document (none: not in the document).
+    pub(crate) json: &'static [&'static [&'static str]],
+    /// The Prometheus family (empty: not exported).
+    pub(crate) family: &'static str,
+    /// The label whose value comes from the row's source (empty: none).
+    pub(crate) label: &'static str,
+    /// Fixed labels of this row's sample.
+    pub(crate) labels: &'static [(&'static str, &'static str)],
+    /// `# HELP` text; empty on every row of a family but the first.
+    pub(crate) help: &'static str,
+    /// Reads the row's value.
+    pub(crate) read: fn(&S) -> Reading,
+}
+
+/// The `stats`-document fields of `rows`, read from `src`. Each row's
+/// first path fixes where its top-level key sits; nested keys and later
+/// paths fill in in row order.
+pub(crate) fn json_fields<S>(rows: &[Metric<S>], src: &S) -> Vec<(String, Json)> {
+    let mut doc = Vec::new();
+    for path in rows.iter().filter_map(|row| row.json.first()) {
+        slot(&mut doc, path[0]);
+    }
+    for row in rows.iter().filter(|row| !row.json.is_empty()) {
+        let value = (row.read)(src).json();
+        for path in row.json {
+            insert(&mut doc, path, value.clone());
+        }
+    }
+    doc
+}
+
+/// The value under `key`, appended as `null` if absent.
+fn slot<'a>(doc: &'a mut Vec<(String, Json)>, key: &str) -> &'a mut Json {
+    let at = match doc.iter().position(|(k, _)| k == key) {
+        Some(at) => at,
+        None => {
+            doc.push((key.to_owned(), Json::Null));
+            doc.len() - 1
+        }
+    };
+    &mut doc[at].1
+}
+
+fn insert(doc: &mut Vec<(String, Json)>, path: &[&str], value: Json) {
+    let Some((key, rest)) = path.split_first() else {
+        return;
+    };
+    let entry = slot(doc, key);
+    if rest.is_empty() {
+        *entry = value;
+        return;
+    }
+    if !matches!(entry, Json::Obj(_)) {
+        *entry = Json::Obj(Vec::new());
+    }
+    if let Json::Obj(fields) = entry {
+        insert(fields, rest, value);
+    }
+}
+
+/// Builds a `&[Metric<S>]` table from rows in the grammar of the module
+/// docs.
+macro_rules! metric_rows {
+    ($src:ty; $(
+        $(#[$meta:meta])*
+        $name:ident : $kind:ident $(($read:expr))? $([$($seg:literal),+])*
+            $(=> $family:literal $(($label:ident))? $({$($lk:ident: $lv:literal),*})? $($help:literal)?)?;
+    )*) => {
+        &[$(Metric::<$src> {
+            kind: metric_rows!(@kind $kind),
+            json: &[$(&[$($seg),+]),*],
+            family: concat!("" $(, $family)?),
+            label: concat!("" $($(, stringify!($label))?)?),
+            labels: &[$($($((stringify!($lk), $lv)),*)?)?],
+            help: concat!("" $($(, $help)?)?),
+            read: metric_rows!(@read $src, $name $(, $read)?),
+        }),*]
+    };
+    (@kind counter) => { MetricKind::Counter };
+    (@kind gauge) => { MetricKind::Gauge };
+    (@kind histogram) => { MetricKind::Histogram };
+    (@read $src:ty, $name:ident) => { |s: &$src| Reading::from(s.$name) };
+    (@read $src:ty, $name:ident, $read:expr) => {
+        |s: &$src| {
+            let read: fn(&$src) -> _ = $read;
+            Reading::from(read(s))
+        }
+    };
+}
+
+/// Sorts the registry's rows into stored counters, stored gauges and
+/// derived rows, then generates the registry and snapshot from them.
+macro_rules! snapshot_table {
+    (@split [$($c:tt)*] $g:tt [
+        $(#[$m:meta])* $name:ident : counter $([$($seg:literal),+])*
+            $(=> $f:literal $(($l:ident))? $({$($lk:ident: $lv:literal),*})? $($h:literal)?)?;
+        $($rest:tt)*
+    ] $all:tt) => {
+        snapshot_table!(@split [$($c)* $(#[$m])* $name,] $g [$($rest)*] $all);
+    };
+    (@split $c:tt [$($g:tt)*] [
+        $(#[$m:meta])* $name:ident : gauge $([$($seg:literal),+])*
+            $(=> $f:literal $(($l:ident))? $({$($lk:ident: $lv:literal),*})? $($h:literal)?)?;
+        $($rest:tt)*
+    ] $all:tt) => {
+        snapshot_table!(@split $c [$($g)* $(#[$m])* $name,] [$($rest)*] $all);
+    };
+    (@split $c:tt $g:tt [
+        $(#[$m:meta])* $name:ident : $kind:ident ($read:expr) $([$($seg:literal),+])*
+            $(=> $f:literal $(($l:ident))? $({$($lk:ident: $lv:literal),*})? $($h:literal)?)?;
+        $($rest:tt)*
+    ] $all:tt) => {
+        snapshot_table!(@split $c $g [$($rest)*] $all);
+    };
+    (@split [$($(#[$cm:meta])* $c:ident,)*] [$($(#[$gm:meta])* $g:ident,)*] [] [$($all:tt)*]) => {
+        /// The registry. One instance lives in every [`crate::RoutingService`];
+        /// pools, the admission gate and the server bump its counters
+        /// directly.
+        #[derive(Debug, Default)]
+        pub struct ServiceMetrics {
+            $($(#[$cm])* pub(crate) $c: Counter,)*
+            wire_errors: [Counter; WIRE_ERROR_KINDS],
+            per_kind: [KindMetrics; 6],
+        }
+
+        /// Plain-data copy of the whole registry.
+        #[derive(Debug, Clone)]
+        pub struct MetricsSnapshot {
+            $($(#[$cm])* pub $c: u64,)*
+            $($(#[$gm])* pub $g: u64,)*
+            /// Wire-level error responses written, indexed by
+            /// [`WireErrorKind::index`].
+            pub wire_errors: [u64; WIRE_ERROR_KINDS],
+            /// Per-kind counters.
+            pub per_kind: [KindSnapshot; 6],
+        }
+
+        impl ServiceMetrics {
+            /// A plain-data copy of every counter at this instant (gauges
+            /// read 0 from a bare registry).
+            pub fn snapshot(&self) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $($c: self.$c.get(),)*
+                    $($g: 0,)*
+                    wire_errors: self.wire_errors.each_ref().map(Counter::get),
+                    per_kind: RequestKind::ALL.map(|kind| {
+                        let k = &self.per_kind[kind.index()];
+                        KindSnapshot {
+                            kind,
+                            requests: k.requests.get(),
+                            errors: k.errors.get(),
+                            total_micros: k.total_micros.get(),
+                            latency: k.latency.snapshot(),
+                        }
+                    }),
+                }
+            }
+        }
+
+        impl MetricsSnapshot {
+            /// Adds every counter and gauge of `other` into `self`: the
+            /// server absorbs every topology's registry and the connection
+            /// layer's into one fleet-wide view, gauges included.
+            ///
+            /// ```
+            /// use pops_service::{MetricsSnapshot, RequestKind, ServiceMetrics};
+            ///
+            /// let a = ServiceMetrics::new();
+            /// a.record_miss(RequestKind::Theorem2, 2, 10);
+            /// let b = ServiceMetrics::new();
+            /// b.record_hit(RequestKind::Theorem2, 1);
+            ///
+            /// let mut total = MetricsSnapshot::zero();
+            /// total.absorb(&a.snapshot());
+            /// total.absorb(&b.snapshot());
+            /// assert_eq!((total.hits, total.misses), (1, 1));
+            /// assert_eq!(total.per_kind[0].requests, 2);
+            /// ```
+            pub fn absorb(&mut self, other: &MetricsSnapshot) {
+                $(self.$c += other.$c;)*
+                $(self.$g += other.$g;)*
+                for (mine, theirs) in self.wire_errors.iter_mut().zip(&other.wire_errors) {
+                    *mine += theirs;
+                }
+                for (mine, theirs) in self.per_kind.iter_mut().zip(&other.per_kind) {
+                    debug_assert_eq!(mine.kind, theirs.kind);
+                    mine.requests += theirs.requests;
+                    mine.errors += theirs.errors;
+                    mine.total_micros += theirs.total_micros;
+                    for (bucket, add) in mine.latency.iter_mut().zip(&theirs.latency) {
+                        *bucket += add;
+                    }
+                }
+            }
+
+            /// Zeroes every stored gauge, keeping the counters — what a
+            /// retired topology contributes to the monotonic ledger.
+            pub fn clear_gauges(&mut self) {
+                $(self.$g = 0;)*
+            }
+        }
+
+        /// The registry's scalar rows, in `stats`-document order.
+        pub(crate) const SNAPSHOT_ROWS: &[Metric<MetricsSnapshot>] =
+            metric_rows!(MetricsSnapshot; $($all)*);
+    };
+    ($($rows:tt)*) => { snapshot_table!(@split [] [] [$($rows)*] [$($rows)*]); };
+}
+
+snapshot_table! {
+    /// Level-1 (whole-request) plan-cache hits.
+    hits: counter ["hits"] ["cache", "l1", "hits"]
+        => "pops_cache_hits_total" {level: "l1"}
+           "Plan-cache hits: level l1 is whole plans, l2 is h-relation phases.";
+    /// Level-1 plan-cache misses (each one computed or assembled a plan).
+    misses: counter ["misses"] ["cache", "l1", "misses"]
+        => "pops_cache_misses_total" {level: "l1"} "Plan-cache misses, by cache level.";
+    /// Level-1 hit rate over single-request traffic.
+    hit_rate: gauge(MetricsSnapshot::hit_rate) ["hit_rate"] ["cache", "l1", "hit_rate"];
+    /// Level-1 plans cached (filled by [`crate::RoutingService::metrics`]).
+    cache_entries: gauge ["cache", "l1", "entries"] ["cache_entries"]
+        => "pops_cache_entries" {level: "l1"} "Plans currently cached, by cache level.";
+    /// Level-1 plan-cache capacity.
+    cache_capacity: gauge ["cache", "l1", "capacity"] ["cache_capacity"]
+        => "pops_cache_capacity" {level: "l1"} "Plan-cache capacity, by cache level.";
+    /// Level-2 hits: h-relation phases answered from the phase cache.
+    phase_hits: counter ["cache", "l2", "hits"] => "pops_cache_hits_total" {level: "l2"};
+    /// Level-2 misses: phases that had to be planned on an engine.
+    phase_misses: counter ["cache", "l2", "misses"] => "pops_cache_misses_total" {level: "l2"};
+    /// Level-2 hit rate over routed phases.
+    phase_hit_rate: gauge(MetricsSnapshot::phase_hit_rate) ["cache", "l2", "hit_rate"];
+    /// Level-2 phase plans cached.
+    phase_cache_entries: gauge ["cache", "l2", "entries"] => "pops_cache_entries" {level: "l2"};
+    /// Level-2 phase-cache capacity.
+    phase_cache_capacity: gauge ["cache", "l2", "capacity"]
+        => "pops_cache_capacity" {level: "l2"};
+    /// Total slots across every schedule the service emitted.
+    slots_emitted: counter ["slots_emitted"]
+        => "pops_slots_emitted_total" "Total slots across every schedule the service emitted.";
+    /// Requests that returned a routing error.
+    errors: counter ["errors"];
+    /// Engine-pool acquisitions that found their home shard free.
+    pool_fast: counter ["pool", "fast"]
+        => "pops_pool_acquisitions_total" {outcome: "fast"} "Engine-pool acquisitions, by outcome.";
+    /// Acquisitions that overflowed to another idle shard.
+    pool_overflows: counter ["pool", "overflows"]
+        => "pops_pool_acquisitions_total" {outcome: "overflow"};
+    /// Acquisitions that found every shard busy and had to block.
+    pool_blocked: counter ["pool", "blocked"]
+        => "pops_pool_acquisitions_total" {outcome: "blocked"};
+    /// Requests that had to wait at the admission gate.
+    admission_waits: counter ["admission_waits"]
+        => "pops_admission_waits_total" "Requests that had to wait at the admission gate.";
+    /// Batch submissions.
+    batches: counter ["batches"] => "pops_batches_total" "Batch submissions.";
+    /// Plans produced by batch submissions.
+    batch_plans: counter ["batch_plans"]
+        => "pops_batch_plans_total" "Plans produced by batch submissions.";
+    /// Connections currently live.
+    active_connections: gauge(MetricsSnapshot::active_connections) ["connections", "active"]
+        => "pops_connections_active" "Connections currently live.";
+    /// Connections the server accepted and handed to a handler.
+    conns_opened: counter ["connections", "opened"]
+        => "pops_connections_opened_total" "Connections accepted and handed to a handler.";
+    /// Handler threads that have exited (their connection is done).
+    conns_closed: counter ["connections", "closed"]
+        => "pops_connections_closed_total" "Connections whose handler has exited.";
+    /// Connections refused because the server was at capacity.
+    conns_rejected: counter ["connections", "rejected"]
+        => "pops_connections_rejected_total" "Connections refused at the capacity limit.";
+    /// Connections that stayed on the default JSON-lines framing.
+    json_connections: counter(MetricsSnapshot::json_connections) ["connections", "json"]
+        => "pops_connections_format_total" {format: "json"}
+           "Connections by negotiated wire format (every connection starts \
+            as json; binary counts successful hello negotiations).";
+    /// Connections that negotiated the binary framing.
+    conns_binary: counter ["connections", "binary"]
+        => "pops_connections_format_total" {format: "binary"};
+    /// Request bytes received on JSON-lines connections.
+    json_bytes_in: counter ["wire", "json", "bytes_in"]
+        => "pops_wire_bytes_total" {format: "json", direction: "in"}
+           "Wire traffic in bytes, by format and direction.";
+    /// Response bytes written on JSON-lines connections.
+    json_bytes_out: counter ["wire", "json", "bytes_out"]
+        => "pops_wire_bytes_total" {format: "json", direction: "out"};
+    /// Request bytes received on binary-framed connections.
+    binary_bytes_in: counter ["wire", "binary", "bytes_in"]
+        => "pops_wire_bytes_total" {format: "binary", direction: "in"};
+    /// Response bytes written on binary-framed connections.
+    binary_bytes_out: counter ["wire", "binary", "bytes_out"]
+        => "pops_wire_bytes_total" {format: "binary", direction: "out"};
+    /// Request lines rejected for exceeding the line-length cap.
+    oversized_lines: counter ["oversized_lines"]
+        => "pops_oversized_lines_total" "Request lines rejected for exceeding the length cap.";
+    /// Connections dropped because a complete line never arrived in time.
+    read_timeouts: counter ["read_timeouts"]
+        => "pops_read_timeouts_total"
+           "Connections dropped because a complete request never arrived in time.";
+    /// Requests shed by overload control, all causes combined.
+    sheds_total: counter(MetricsSnapshot::sheds) ["sheds", "total"];
+    /// Requests shed at the global in-flight watermark.
+    sheds_watermark: counter ["sheds", "watermark"]
+        => "pops_sheds_total" {cause: "watermark"} "Requests shed by overload control, by cause.";
+    /// Requests shed by a per-client token-bucket quota.
+    sheds_quota: counter ["sheds", "quota"] => "pops_sheds_total" {cause: "quota"};
+    /// Slow-request trace lines actually emitted to the log.
+    slow_traces: counter ["slow_traces", "emitted"]
+        => "pops_slow_traces_total" {outcome: "emitted"}
+           "Slow-request trace lines, by whether the rate limiter let them through.";
+    /// Slow-request trace lines suppressed by the rate limiter.
+    slow_traces_suppressed: counter ["slow_traces", "suppressed"]
+        => "pops_slow_traces_total" {outcome: "suppressed"};
+    /// Level-1 misses planned by the greedy fault router.
+    degraded_plans: counter ["degraded", "plans"]
+        => "pops_degraded_plans_total"
+           "Plans computed by the greedy fault router under a non-empty fault set.";
+    /// Level-1 hits answered from a degraded (fault-keyed) cache entry.
+    degraded_hits: counter ["degraded", "hits"]
+        => "pops_degraded_hits_total"
+           "Plan-cache hits answered from a degraded (fault-keyed) cache entry.";
+    /// Requests refused because their fault set was not fully routable.
+    unroutable_refusals: counter ["degraded", "unroutable_refusals"]
+        => "pops_unroutable_refusals_total"
+           "Requests refused before planning because the fault set left the fabric not fully routable.";
+    /// Wire-level error responses written, by [`WireErrorKind`].
+    wire_errors: counter(MetricsSnapshot::wire_errors_by_kind) ["wire_errors"]
+        => "pops_wire_errors_total" (error_kind)
+           "Typed error responses written on the wire, by error kind.";
+    /// Engine-arena bytes across the pool.
+    arena_bytes: gauge ["arena_bytes"]
+        => "pops_arena_bytes" "Engine-arena bytes across every resident topology's pool.";
+}
+
+/// Per-kind rows (source label `kind`); the `stats` document gives each
+/// kind with traffic an object in `kinds`.
+pub(crate) const KIND_ROWS: &[Metric<KindSnapshot>] = metric_rows! { KindSnapshot;
+    requests: counter ["requests"]
+        => "pops_requests_total" (kind) "Single routing requests served, by request kind.";
+    errors: counter ["errors"]
+        => "pops_request_errors_total" (kind)
+           "Routing requests that returned an error, by request kind.";
+    avg_micros: gauge(KindSnapshot::avg_micros) ["avg_micros"];
+    p50_micros: gauge(|k| k.quantile_micros(0.5)) ["p50_micros"];
+    p99_micros: gauge(|k| k.quantile_micros(0.99)) ["p99_micros"];
+    latency: histogram(|k| Reading::Histogram(k.latency, k.total_micros))
+        => "pops_request_duration_microseconds" (kind)
+           "Service latency of single routing requests, by request kind.";
+};
+
+/// Per-resident-topology rows (source label `topology`); the `stats`
+/// document gives each shape an object in `topologies`. These series
+/// vanish on eviction; the fleet families above stay monotonic.
+pub(crate) const TOPOLOGY_ROWS: &[Metric<MetricsSnapshot>] = metric_rows! { MetricsSnapshot;
+    requests: counter(MetricsSnapshot::requests) ["requests"]
+        => "pops_topology_requests_total" (topology)
+           "Single requests served by a resident topology.";
+    hits: counter ["hits"]
+        => "pops_topology_cache_hits_total" (topology)
+           "Level-1 plan-cache hits on a resident topology.";
+    misses: counter ["misses"];
+    hit_rate: gauge(MetricsSnapshot::hit_rate) ["hit_rate"];
+    errors: counter ["errors"]
+        => "pops_topology_errors_total" (topology) "Routing errors on a resident topology.";
+    batches: counter ["batches"];
+    batch_plans: counter ["batch_plans"];
+    arena_bytes: gauge ["arena_bytes"]
+        => "pops_topology_arena_bytes" (topology)
+           "Engine-arena bytes held by a resident topology's pool.";
+    latency: histogram(MetricsSnapshot::merged_latency)
+        => "pops_topology_request_duration_microseconds" (topology)
+           "Service latency on a resident topology, all request kinds merged.";
+};
+
+/// Topology-registry rows, read from `(resident count, router counters)`.
+pub(crate) const ROUTER_ROWS: &[Metric<(u64, RouterStats)>] = metric_rows! { (u64, RouterStats);
+    topologies: gauge(|r| r.0) ["router", "topologies"]
+        => "pops_router_topologies" "Topologies currently resident in the registry.";
+    hits: counter(|r| r.1.hits) ["router", "hits"]
+        => "pops_router_hits_total" "Registry lookups answered by an already-resident service.";
+    built: counter(|r| r.1.built) ["router", "built"]
+        => "pops_router_built_total" "Services constructed on demand.";
+    evictions: counter(|r| r.1.evictions) ["router", "evictions"]
+        => "pops_router_evictions_total" "Unpinned topologies evicted to make room.";
+    rejections: counter(|r| r.1.rejections) ["router", "rejections"]
+        => "pops_router_rejections_total" "Registry lookups refused at capacity.";
+};
+
+/// Process rows, read from the uptime in seconds (source label `version`).
+pub(crate) const PROCESS_ROWS: &[Metric<u64>] = metric_rows! { u64;
+    build_info: gauge(|_| 1u64)
+        => "pops_build_info" (version) "Constant 1, labelled with the server's crate version.";
+    uptime_seconds: gauge(|&secs| secs)
+        => "pops_uptime_seconds" "Seconds since the server started.";
+};
 
 /// Per-kind counters.
 #[derive(Debug, Default)]
 struct KindMetrics {
-    requests: AtomicU64,
-    errors: AtomicU64,
-    total_micros: AtomicU64,
+    requests: Counter,
+    errors: Counter,
+    total_micros: Counter,
     latency: LatencyHistogram,
-}
-
-/// The registry. One instance lives in every [`crate::RoutingService`];
-/// pools and the admission gate update it directly.
-#[derive(Debug, Default)]
-pub struct ServiceMetrics {
-    /// Level-1 (whole-request) plan-cache hits.
-    hits: AtomicU64,
-    /// Level-1 plan-cache misses (each one computed or assembled a plan).
-    misses: AtomicU64,
-    /// Level-2 (per-phase) cache hits: h-relation phases answered from the
-    /// phase cache instead of the engine pool.
-    phase_hits: AtomicU64,
-    /// Level-2 misses: phases that had to be planned on an engine.
-    phase_misses: AtomicU64,
-    /// Total slots across every schedule the service emitted.
-    slots_emitted: AtomicU64,
-    /// Requests that returned a routing error.
-    errors: AtomicU64,
-    /// Engine-pool acquisitions that found their home shard free.
-    pool_fast: AtomicU64,
-    /// Acquisitions that overflowed to another idle shard.
-    pool_overflows: AtomicU64,
-    /// Acquisitions that found every shard busy and had to block.
-    pool_blocked: AtomicU64,
-    /// Requests that had to wait at the admission gate.
-    admission_waits: AtomicU64,
-    /// Batch submissions.
-    batches: AtomicU64,
-    /// Plans produced by batch submissions.
-    batch_plans: AtomicU64,
-    /// Connections the server accepted and handed to a handler.
-    conns_opened: AtomicU64,
-    /// Handler threads that have exited (their connection is done).
-    conns_closed: AtomicU64,
-    /// Connections refused because the server was at capacity.
-    conns_rejected: AtomicU64,
-    /// Request lines rejected for exceeding the line-length cap.
-    oversized_lines: AtomicU64,
-    /// Connections dropped because a complete line never arrived in time.
-    read_timeouts: AtomicU64,
-    /// Requests shed at the global in-flight watermark (answered with an
-    /// `overloaded` error instead of queueing).
-    sheds_watermark: AtomicU64,
-    /// Requests shed by a per-client token-bucket quota.
-    sheds_quota: AtomicU64,
-    /// Slow-request trace lines actually emitted to the log.
-    slow_traces: AtomicU64,
-    /// Slow-request trace lines suppressed by the rate limiter.
-    slow_traces_suppressed: AtomicU64,
-    /// Wire-level error responses written, by [`WireErrorKind`] index.
-    wire_errors: [AtomicU64; WIRE_ERROR_KINDS],
-    /// Connections that negotiated the binary framing (every connection
-    /// starts as JSON; `conns_opened - conns_binary` is the JSON count).
-    conns_binary: AtomicU64,
-    /// Request bytes received on JSON-lines connections.
-    json_bytes_in: AtomicU64,
-    /// Response bytes written on JSON-lines connections.
-    json_bytes_out: AtomicU64,
-    /// Request bytes received on binary-framed connections (frames read
-    /// after negotiation; the negotiation line itself counts as JSON).
-    binary_bytes_in: AtomicU64,
-    /// Response bytes written on binary-framed connections.
-    binary_bytes_out: AtomicU64,
-    /// Degraded plans computed: level-1 misses planned by the greedy
-    /// fault router under a non-empty fault set (the fallback to the
-    /// Theorem-2 construction).
-    degraded_plans: AtomicU64,
-    /// Level-1 hits answered from a degraded (fault-keyed) cache entry.
-    degraded_hits: AtomicU64,
-    /// Requests refused because their effective fault set left the
-    /// fabric not fully routable.
-    unroutable_refusals: AtomicU64,
-    per_kind: [KindMetrics; 6],
 }
 
 impl ServiceMetrics {
@@ -192,206 +661,84 @@ impl ServiceMetrics {
 
     /// Records a cache hit for `kind`, `micros` in service.
     pub fn record_hit(&self, kind: RequestKind, micros: u64) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
+        self.hits.inc();
         self.record_kind(kind, micros);
     }
 
     /// Records a computed (cache-miss) plan for `kind` that emitted
     /// `slots` slots, `micros` in service.
     pub fn record_miss(&self, kind: RequestKind, slots: usize, micros: u64) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.slots_emitted
-            .fetch_add(slots as u64, Ordering::Relaxed);
+        self.misses.inc();
+        self.slots_emitted.add(slots as u64);
         self.record_kind(kind, micros);
-    }
-
-    /// Records a level-2 hit: one h-relation phase served from the phase
-    /// cache.
-    pub fn record_phase_hit(&self) {
-        self.phase_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a level-2 miss: one phase planned on the engine pool.
-    pub fn record_phase_miss(&self) {
-        self.phase_misses.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a failed request.
     pub fn record_error(&self, kind: RequestKind) {
-        self.errors.fetch_add(1, Ordering::Relaxed);
-        self.per_kind[kind.index()]
-            .errors
-            .fetch_add(1, Ordering::Relaxed);
+        self.errors.inc();
+        self.per_kind[kind.index()].errors.inc();
     }
 
     fn record_kind(&self, kind: RequestKind, micros: u64) {
         let k = &self.per_kind[kind.index()];
-        k.requests.fetch_add(1, Ordering::Relaxed);
-        k.total_micros.fetch_add(micros, Ordering::Relaxed);
+        k.requests.inc();
+        k.total_micros.add(micros);
         k.latency.record(micros);
     }
 
     /// Records an engine-pool acquisition outcome.
     pub fn record_pool(&self, outcome: PoolAcquisition) {
-        let counter = match outcome {
-            PoolAcquisition::Fast => &self.pool_fast,
-            PoolAcquisition::Overflow => &self.pool_overflows,
-            PoolAcquisition::Blocked => &self.pool_blocked,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a wait at the admission gate.
-    pub fn record_admission_wait(&self) {
-        self.admission_waits.fetch_add(1, Ordering::Relaxed);
+        match outcome {
+            PoolAcquisition::Fast => self.pool_fast.inc(),
+            PoolAcquisition::Overflow => self.pool_overflows.inc(),
+            PoolAcquisition::Blocked => self.pool_blocked.inc(),
+        }
     }
 
     /// Records a batch submission of `plans` plans totalling `slots` slots.
     pub fn record_batch(&self, plans: usize, slots: usize) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batch_plans.fetch_add(plans as u64, Ordering::Relaxed);
-        self.slots_emitted
-            .fetch_add(slots as u64, Ordering::Relaxed);
-    }
-
-    /// Records a connection accepted and handed to a handler thread.
-    pub fn record_connection_opened(&self) {
-        self.conns_opened.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a handler thread exiting (its connection is finished).
-    pub fn record_connection_closed(&self) {
-        self.conns_closed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a connection refused at the server's capacity limit.
-    pub fn record_connection_rejected(&self) {
-        self.conns_rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a request line rejected for exceeding the length cap.
-    pub fn record_oversized_line(&self) {
-        self.oversized_lines.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a connection dropped on a read timeout.
-    pub fn record_read_timeout(&self) {
-        self.read_timeouts.fetch_add(1, Ordering::Relaxed);
+        self.batches.inc();
+        self.batch_plans.add(plans as u64);
+        self.slots_emitted.add(slots as u64);
     }
 
     /// Records a request shed by overload control: at the global in-flight
     /// watermark (`quota = false`) or by a per-client quota (`quota = true`).
     pub fn record_shed(&self, quota: bool) {
-        let counter = if quota {
-            &self.sheds_quota
+        if quota {
+            self.sheds_quota.inc();
         } else {
-            &self.sheds_watermark
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
+            self.sheds_watermark.inc();
+        }
     }
 
     /// Records a slow-request trace line: emitted to the log, or suppressed
     /// by the rate limiter (`emitted = false`).
     pub fn record_slow_trace(&self, emitted: bool) {
-        let counter = if emitted {
-            &self.slow_traces
+        if emitted {
+            self.slow_traces.inc();
         } else {
-            &self.slow_traces_suppressed
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
+            self.slow_traces_suppressed.inc();
+        }
     }
 
     /// Records one wire-level error response of the given kind (the typed
     /// `"kind"` field the server put on an `ok: false` reply).
     pub fn record_wire_error(&self, kind: WireErrorKind) {
-        self.wire_errors[kind.index()].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a degraded plan: a miss planned by the greedy fault router
-    /// under a non-empty fault set.
-    pub fn record_degraded_plan(&self) {
-        self.degraded_plans.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a level-1 hit on a degraded (fault-keyed) entry.
-    pub fn record_degraded_hit(&self) {
-        self.degraded_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a request refused because its fault set left the fabric
-    /// not fully routable.
-    pub fn record_unroutable(&self) {
-        self.unroutable_refusals.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a connection upgrading to the binary framing (a successful
-    /// `hello` negotiation).
-    pub fn record_binary_negotiated(&self) {
-        self.conns_binary.fetch_add(1, Ordering::Relaxed);
+        self.wire_errors[kind.index()].inc();
     }
 
     /// Records wire traffic: `bytes_in` request bytes received and
     /// `bytes_out` response bytes written, attributed to the connection's
     /// negotiated format.
     pub fn record_wire_bytes(&self, binary: bool, bytes_in: u64, bytes_out: u64) {
-        let (in_counter, out_counter) = if binary {
+        let (counter_in, counter_out) = if binary {
             (&self.binary_bytes_in, &self.binary_bytes_out)
         } else {
             (&self.json_bytes_in, &self.json_bytes_out)
         };
-        in_counter.fetch_add(bytes_in, Ordering::Relaxed);
-        out_counter.fetch_add(bytes_out, Ordering::Relaxed);
-    }
-
-    /// A plain-data copy of every counter at this instant.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            phase_hits: self.phase_hits.load(Ordering::Relaxed),
-            phase_misses: self.phase_misses.load(Ordering::Relaxed),
-            slots_emitted: self.slots_emitted.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            pool_fast: self.pool_fast.load(Ordering::Relaxed),
-            pool_overflows: self.pool_overflows.load(Ordering::Relaxed),
-            pool_blocked: self.pool_blocked.load(Ordering::Relaxed),
-            admission_waits: self.admission_waits.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            batch_plans: self.batch_plans.load(Ordering::Relaxed),
-            conns_opened: self.conns_opened.load(Ordering::Relaxed),
-            conns_closed: self.conns_closed.load(Ordering::Relaxed),
-            conns_rejected: self.conns_rejected.load(Ordering::Relaxed),
-            oversized_lines: self.oversized_lines.load(Ordering::Relaxed),
-            read_timeouts: self.read_timeouts.load(Ordering::Relaxed),
-            sheds_watermark: self.sheds_watermark.load(Ordering::Relaxed),
-            sheds_quota: self.sheds_quota.load(Ordering::Relaxed),
-            slow_traces: self.slow_traces.load(Ordering::Relaxed),
-            slow_traces_suppressed: self.slow_traces_suppressed.load(Ordering::Relaxed),
-            wire_errors: std::array::from_fn(|i| self.wire_errors[i].load(Ordering::Relaxed)),
-            conns_binary: self.conns_binary.load(Ordering::Relaxed),
-            json_bytes_in: self.json_bytes_in.load(Ordering::Relaxed),
-            json_bytes_out: self.json_bytes_out.load(Ordering::Relaxed),
-            binary_bytes_in: self.binary_bytes_in.load(Ordering::Relaxed),
-            binary_bytes_out: self.binary_bytes_out.load(Ordering::Relaxed),
-            degraded_plans: self.degraded_plans.load(Ordering::Relaxed),
-            degraded_hits: self.degraded_hits.load(Ordering::Relaxed),
-            unroutable_refusals: self.unroutable_refusals.load(Ordering::Relaxed),
-            arena_bytes: 0,
-            cache_entries: 0,
-            cache_capacity: 0,
-            phase_cache_entries: 0,
-            phase_cache_capacity: 0,
-            per_kind: RequestKind::ALL.map(|kind| {
-                let k = &self.per_kind[kind.index()];
-                KindSnapshot {
-                    kind,
-                    requests: k.requests.load(Ordering::Relaxed),
-                    errors: k.errors.load(Ordering::Relaxed),
-                    total_micros: k.total_micros.load(Ordering::Relaxed),
-                    latency: k.latency.snapshot(),
-                }
-            }),
-        }
+        counter_in.add(bytes_in);
+        counter_out.add(bytes_out);
     }
 }
 
@@ -428,102 +775,10 @@ impl KindSnapshot {
     }
 
     /// Approximate p-quantile latency in microseconds from the histogram
-    /// (upper bucket bound of the bucket containing the quantile).
+    /// (the inclusive upper edge of its bucket, `2^i − 1`).
     pub fn quantile_micros(&self, q: f64) -> u64 {
-        let total: u64 = self.latency.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let want = ((total as f64) * q).ceil() as u64;
-        let mut seen = 0;
-        for (i, &count) in self.latency.iter().enumerate() {
-            seen += count;
-            if seen >= want {
-                return 1u64 << i;
-            }
-        }
-        1u64 << (HISTOGRAM_BUCKETS - 1)
+        quantile(&self.latency, q)
     }
-}
-
-/// Plain-data copy of the whole registry.
-#[derive(Debug, Clone)]
-pub struct MetricsSnapshot {
-    /// Level-1 (whole-request) plan-cache hits.
-    pub hits: u64,
-    /// Level-1 plan-cache misses.
-    pub misses: u64,
-    /// Level-2 (per-phase) cache hits.
-    pub phase_hits: u64,
-    /// Level-2 (per-phase) cache misses.
-    pub phase_misses: u64,
-    /// Total slots across emitted schedules.
-    pub slots_emitted: u64,
-    /// Requests that returned an error.
-    pub errors: u64,
-    /// Pool acquisitions with a free home shard.
-    pub pool_fast: u64,
-    /// Pool acquisitions that overflowed to another shard.
-    pub pool_overflows: u64,
-    /// Pool acquisitions that blocked.
-    pub pool_blocked: u64,
-    /// Waits at the admission gate.
-    pub admission_waits: u64,
-    /// Batch submissions.
-    pub batches: u64,
-    /// Plans produced by batches.
-    pub batch_plans: u64,
-    /// Connections accepted by the server.
-    pub conns_opened: u64,
-    /// Connections whose handler has exited.
-    pub conns_closed: u64,
-    /// Connections refused at the capacity limit.
-    pub conns_rejected: u64,
-    /// Request lines rejected for exceeding the length cap.
-    pub oversized_lines: u64,
-    /// Connections dropped on a read timeout.
-    pub read_timeouts: u64,
-    /// Requests shed at the global in-flight watermark.
-    pub sheds_watermark: u64,
-    /// Requests shed by a per-client token-bucket quota.
-    pub sheds_quota: u64,
-    /// Slow-request trace lines emitted to the log.
-    pub slow_traces: u64,
-    /// Slow-request trace lines suppressed by the rate limiter.
-    pub slow_traces_suppressed: u64,
-    /// Wire-level error responses written, indexed by
-    /// [`WireErrorKind::index`].
-    pub wire_errors: [u64; WIRE_ERROR_KINDS],
-    /// Connections that negotiated the binary framing.
-    pub conns_binary: u64,
-    /// Request bytes received on JSON-lines connections.
-    pub json_bytes_in: u64,
-    /// Response bytes written on JSON-lines connections.
-    pub json_bytes_out: u64,
-    /// Request bytes received on binary-framed connections.
-    pub binary_bytes_in: u64,
-    /// Response bytes written on binary-framed connections.
-    pub binary_bytes_out: u64,
-    /// Degraded plans computed under a non-empty fault set.
-    pub degraded_plans: u64,
-    /// Level-1 hits answered from degraded (fault-keyed) entries.
-    pub degraded_hits: u64,
-    /// Requests refused because the fault set was not fully routable.
-    pub unroutable_refusals: u64,
-    /// Engine-arena bytes across the pool (gauge; filled by
-    /// [`crate::RoutingService::metrics`], 0 from a bare registry).
-    pub arena_bytes: u64,
-    /// Level-1 plans currently cached (gauge; filled like `arena_bytes`).
-    pub cache_entries: u64,
-    /// Level-1 plan-cache capacity (gauge; filled like `arena_bytes`).
-    pub cache_capacity: u64,
-    /// Level-2 phase plans currently cached (gauge; filled like
-    /// `arena_bytes`).
-    pub phase_cache_entries: u64,
-    /// Level-2 phase-cache capacity (gauge; filled like `arena_bytes`).
-    pub phase_cache_capacity: u64,
-    /// Per-kind counters.
-    pub per_kind: [KindSnapshot; 6],
 }
 
 impl MetricsSnapshot {
@@ -532,95 +787,14 @@ impl MetricsSnapshot {
         ServiceMetrics::new().snapshot()
     }
 
-    /// Adds every counter (and gauge) of `other` into `self`.
-    ///
-    /// The multi-topology server keeps one metrics registry **per
-    /// topology** plus one for the connection layer; absorbing them into a
-    /// zero snapshot renders the single fleet-wide view the `stats` wire
-    /// op reports at its top level. Gauges (arena bytes, cache occupancy
-    /// and capacity) sum too, so the aggregate reads as fleet totals.
-    ///
-    /// ```
-    /// use pops_service::{MetricsSnapshot, RequestKind, ServiceMetrics};
-    ///
-    /// let a = ServiceMetrics::new();
-    /// a.record_miss(RequestKind::Theorem2, 2, 10);
-    /// let b = ServiceMetrics::new();
-    /// b.record_hit(RequestKind::Theorem2, 1);
-    ///
-    /// let mut total = MetricsSnapshot::zero();
-    /// total.absorb(&a.snapshot());
-    /// total.absorb(&b.snapshot());
-    /// assert_eq!((total.hits, total.misses), (1, 1));
-    /// assert_eq!(total.per_kind[0].requests, 2);
-    /// ```
-    pub fn absorb(&mut self, other: &MetricsSnapshot) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.phase_hits += other.phase_hits;
-        self.phase_misses += other.phase_misses;
-        self.slots_emitted += other.slots_emitted;
-        self.errors += other.errors;
-        self.pool_fast += other.pool_fast;
-        self.pool_overflows += other.pool_overflows;
-        self.pool_blocked += other.pool_blocked;
-        self.admission_waits += other.admission_waits;
-        self.batches += other.batches;
-        self.batch_plans += other.batch_plans;
-        self.conns_opened += other.conns_opened;
-        self.conns_closed += other.conns_closed;
-        self.conns_rejected += other.conns_rejected;
-        self.oversized_lines += other.oversized_lines;
-        self.read_timeouts += other.read_timeouts;
-        self.sheds_watermark += other.sheds_watermark;
-        self.sheds_quota += other.sheds_quota;
-        self.slow_traces += other.slow_traces;
-        self.slow_traces_suppressed += other.slow_traces_suppressed;
-        for (mine, theirs) in self.wire_errors.iter_mut().zip(&other.wire_errors) {
-            *mine += theirs;
-        }
-        self.conns_binary += other.conns_binary;
-        self.json_bytes_in += other.json_bytes_in;
-        self.json_bytes_out += other.json_bytes_out;
-        self.binary_bytes_in += other.binary_bytes_in;
-        self.binary_bytes_out += other.binary_bytes_out;
-        self.degraded_plans += other.degraded_plans;
-        self.degraded_hits += other.degraded_hits;
-        self.unroutable_refusals += other.unroutable_refusals;
-        self.arena_bytes += other.arena_bytes;
-        self.cache_entries += other.cache_entries;
-        self.cache_capacity += other.cache_capacity;
-        self.phase_cache_entries += other.phase_cache_entries;
-        self.phase_cache_capacity += other.phase_cache_capacity;
-        for (mine, theirs) in self.per_kind.iter_mut().zip(&other.per_kind) {
-            debug_assert_eq!(mine.kind, theirs.kind);
-            mine.requests += theirs.requests;
-            mine.errors += theirs.errors;
-            mine.total_micros += theirs.total_micros;
-            for (bucket, add) in mine.latency.iter_mut().zip(&theirs.latency) {
-                *bucket += add;
-            }
-        }
-    }
-
     /// Level-1 cache hit rate over single-request traffic (0 when idle).
     pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
+        ratio(self.hits, self.misses)
     }
 
     /// Level-2 (phase) cache hit rate over routed phases (0 when idle).
     pub fn phase_hit_rate(&self) -> f64 {
-        let total = self.phase_hits + self.phase_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.phase_hits as f64 / total as f64
-        }
+        ratio(self.phase_hits, self.phase_misses)
     }
 
     /// Single requests served (hits + misses).
@@ -644,14 +818,33 @@ impl MetricsSnapshot {
         self.sheds_watermark + self.sheds_quota
     }
 
-    /// Degraded requests served (fault-keyed hits + degraded plans).
-    pub fn degraded_requests(&self) -> u64 {
-        self.degraded_plans + self.degraded_hits
-    }
-
     /// Wire-level error responses written, all kinds combined.
     pub fn wire_errors_total(&self) -> u64 {
         self.wire_errors.iter().sum()
+    }
+
+    fn wire_errors_by_kind(&self) -> Reading {
+        let names = WireErrorKind::ALL.iter().map(|kind| kind.name());
+        Reading::Labelled(names.zip(self.wire_errors).collect())
+    }
+
+    /// Every kind's latency histogram summed, with the summed latency.
+    fn merged_latency(&self) -> Reading {
+        let mut buckets = [0u64; HISTOGRAM_BUCKETS];
+        for k in &self.per_kind {
+            for (slot, add) in buckets.iter_mut().zip(&k.latency) {
+                *slot += add;
+            }
+        }
+        Reading::Histogram(buckets, self.per_kind.iter().map(|k| k.total_micros).sum())
+    }
+}
+
+/// `hits / (hits + misses)`, 0 when both are 0.
+fn ratio(hits: u64, misses: u64) -> f64 {
+    match hits + misses {
+        0 => 0.0,
+        total => hits as f64 / total as f64,
     }
 }
 
@@ -761,7 +954,7 @@ mod tests {
 
     #[test]
     fn histogram_buckets_by_log2() {
-        let h = LatencyHistogram::default();
+        let h = LatencyHistogram::<HISTOGRAM_BUCKETS>::default();
         h.record(0); // bucket 0
         h.record(1); // bucket 1
         h.record(2); // bucket 2
@@ -805,10 +998,10 @@ mod tests {
     fn phase_counters_are_reported_separately_from_l1() {
         let m = ServiceMetrics::new();
         m.record_miss(RequestKind::HRelation, 8, 120);
-        m.record_phase_miss();
-        m.record_phase_hit();
-        m.record_phase_hit();
-        m.record_phase_hit();
+        m.phase_misses.inc();
+        m.phase_hits.inc();
+        m.phase_hits.inc();
+        m.phase_hits.inc();
         let s = m.snapshot();
         assert_eq!((s.hits, s.misses), (0, 1), "L1 view");
         assert_eq!((s.phase_hits, s.phase_misses), (3, 1), "L2 view");
@@ -825,12 +1018,12 @@ mod tests {
     fn connection_and_limit_counters_round_trip() {
         let m = ServiceMetrics::new();
         for _ in 0..3 {
-            m.record_connection_opened();
+            m.conns_opened.inc();
         }
-        m.record_connection_closed();
-        m.record_connection_rejected();
-        m.record_oversized_line();
-        m.record_read_timeout();
+        m.conns_closed.inc();
+        m.conns_rejected.inc();
+        m.oversized_lines.inc();
+        m.read_timeouts.inc();
         let s = m.snapshot();
         assert_eq!((s.conns_opened, s.conns_closed), (3, 1));
         assert_eq!(s.active_connections(), 2);
@@ -846,9 +1039,9 @@ mod tests {
     fn per_format_wire_counters_round_trip() {
         let m = ServiceMetrics::new();
         for _ in 0..3 {
-            m.record_connection_opened();
+            m.conns_opened.inc();
         }
-        m.record_binary_negotiated();
+        m.conns_binary.inc();
         m.record_wire_bytes(false, 100, 900);
         m.record_wire_bytes(false, 20, 80);
         m.record_wire_bytes(true, 50, 200);
@@ -870,7 +1063,7 @@ mod tests {
         // Aggregation across registries sums the per-format views too.
         let other = ServiceMetrics::new();
         other.record_wire_bytes(true, 1, 2);
-        other.record_binary_negotiated();
+        other.conns_binary.inc();
         let mut total = MetricsSnapshot::zero();
         total.absorb(&s);
         total.absorb(&other.snapshot());
@@ -890,20 +1083,20 @@ mod tests {
         assert_eq!(k.quantile_micros(0.5), 0);
         k.latency[3] = 99; // 4..8 µs
         k.latency[10] = 1; // one slow outlier
-        assert_eq!(k.quantile_micros(0.5), 8);
-        assert_eq!(k.quantile_micros(0.999), 1024);
+        assert_eq!(k.quantile_micros(0.5), 7);
+        assert_eq!(k.quantile_micros(0.999), 1023);
     }
 
     #[test]
     fn absorb_sums_counters_and_histograms() {
         let a = ServiceMetrics::new();
         a.record_miss(RequestKind::Theorem2, 2, 100);
-        a.record_phase_miss();
-        a.record_connection_opened();
+        a.phase_misses.inc();
+        a.conns_opened.inc();
         let b = ServiceMetrics::new();
         b.record_hit(RequestKind::Theorem2, 100);
         b.record_error(RequestKind::HRelation);
-        b.record_phase_hit();
+        b.phase_hits.inc();
 
         let mut total = MetricsSnapshot::zero();
         total.absorb(&a.snapshot());
@@ -967,9 +1160,56 @@ mod tests {
 
     #[test]
     fn kind_names_round_trip() {
-        for kind in RequestKind::ALL {
+        for (i, kind) in RequestKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind.index(), i);
             assert_eq!(RequestKind::from_name(kind.name()), Some(kind));
         }
         assert_eq!(RequestKind::from_name("nope"), None);
+    }
+
+    /// Every exported row, whatever its source type, as
+    /// `(family, kind, source label, fixed label names, help)`.
+    type Export = (
+        &'static str,
+        MetricKind,
+        &'static str,
+        Vec<&'static str>,
+        &'static str,
+    );
+
+    fn exports<S>(rows: &'static [Metric<S>]) -> Vec<Export> {
+        rows.iter()
+            .filter(|row| !row.family.is_empty())
+            .map(|r| {
+                (
+                    r.family,
+                    r.kind,
+                    r.label,
+                    r.labels.iter().map(|l| l.0).collect(),
+                    r.help,
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_family_has_one_help_one_type_and_one_label_set() {
+        let mut all = exports(SNAPSHOT_ROWS);
+        all.extend(exports(KIND_ROWS));
+        all.extend(exports(TOPOLOGY_ROWS));
+        all.extend(exports(ROUTER_ROWS));
+        all.extend(exports(PROCESS_ROWS));
+        for (family, kind, label, labels, _) in &all {
+            let rows: Vec<_> = all.iter().filter(|r| r.0 == *family).collect();
+            assert!(
+                !rows[0].4.is_empty(),
+                "{family}: the first row carries the help"
+            );
+            let helps = rows.iter().filter(|r| !r.4.is_empty()).count();
+            assert_eq!(helps, 1, "{family}: exactly one row carries the help");
+            for row in rows {
+                assert_eq!((kind, label, labels), (&row.1, &row.2, &row.3), "{family}");
+            }
+        }
     }
 }

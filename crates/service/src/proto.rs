@@ -52,7 +52,9 @@ use pops_network::{FaultSet, PopsTopology, Schedule, SlotFrame, Transmission};
 use pops_permutation::Permutation;
 
 use crate::json::Json;
-use crate::metrics::{MetricsSnapshot, RequestKind};
+use crate::metrics::{
+    json_fields, MetricsSnapshot, RequestKind, KIND_ROWS, ROUTER_ROWS, SNAPSHOT_ROWS, TOPOLOGY_ROWS,
+};
 use crate::router::RouterStats;
 use crate::service::{ServiceReply, ServiceRequest};
 
@@ -105,17 +107,7 @@ impl WireErrorKind {
 
     /// The kind's index into [`WireErrorKind::ALL`]-ordered arrays.
     pub fn index(self) -> usize {
-        match self {
-            WireErrorKind::Parse => 0,
-            WireErrorKind::BadRequest => 1,
-            WireErrorKind::TooLarge => 2,
-            WireErrorKind::Timeout => 3,
-            WireErrorKind::Unavailable => 4,
-            WireErrorKind::Routing => 5,
-            WireErrorKind::TopologyLimit => 6,
-            WireErrorKind::Overloaded => 7,
-            WireErrorKind::Unroutable => 8,
-        }
+        self as usize
     }
 
     /// Parses a wire name.
@@ -631,20 +623,9 @@ fn kinds_json(snap: &MetricsSnapshot) -> Json {
             .iter()
             .filter(|k| k.requests > 0 || k.errors > 0)
             .map(|k| {
-                Json::Obj(vec![
-                    ("kind".into(), Json::str(k.kind.name())),
-                    ("requests".into(), Json::Num(k.requests as f64)),
-                    ("errors".into(), Json::Num(k.errors as f64)),
-                    ("avg_micros".into(), Json::Num(k.avg_micros() as f64)),
-                    (
-                        "p50_micros".into(),
-                        Json::Num(k.quantile_micros(0.5) as f64),
-                    ),
-                    (
-                        "p99_micros".into(),
-                        Json::Num(k.quantile_micros(0.99) as f64),
-                    ),
-                ])
+                let mut fields = vec![("kind".into(), Json::str(k.kind.name()))];
+                fields.extend(json_fields(KIND_ROWS, k));
+                Json::Obj(fields)
             })
             .collect(),
     )
@@ -654,6 +635,7 @@ fn kinds_json(snap: &MetricsSnapshot) -> Json {
 /// aggregate** (every topology's registry absorbed, plus the connection
 /// layer); the `topologies` section breaks hits/misses/latency down per
 /// resident `(d, g)`, and `router` reports the registry's own counters.
+/// Every counter comes from the tables in [`crate::metrics`].
 pub fn stats_response(
     snap: &MetricsSnapshot,
     topologies: &[(usize, usize, MetricsSnapshot)],
@@ -662,138 +644,25 @@ pub fn stats_response(
     let per_topology = topologies
         .iter()
         .map(|(d, g, topo)| {
-            Json::Obj(vec![
-                ("d".into(), Json::num(*d)),
-                ("g".into(), Json::num(*g)),
-                ("requests".into(), Json::Num(topo.requests() as f64)),
-                ("hits".into(), Json::Num(topo.hits as f64)),
-                ("misses".into(), Json::Num(topo.misses as f64)),
-                ("hit_rate".into(), Json::Num(topo.hit_rate())),
-                ("errors".into(), Json::Num(topo.errors as f64)),
-                ("batches".into(), Json::Num(topo.batches as f64)),
-                ("batch_plans".into(), Json::Num(topo.batch_plans as f64)),
-                ("arena_bytes".into(), Json::Num(topo.arena_bytes as f64)),
-                ("cache".into(), cache_levels_json(topo)),
-                ("kinds".into(), kinds_json(topo)),
-            ])
+            let mut fields = vec![("d".into(), Json::num(*d)), ("g".into(), Json::num(*g))];
+            fields.extend(json_fields(TOPOLOGY_ROWS, topo));
+            fields.push(("cache".into(), cache_levels_json(topo)));
+            fields.push(("kinds".into(), kinds_json(topo)));
+            Json::Obj(fields)
         })
         .collect();
-    Json::Obj(vec![
+    let mut doc = vec![
         ("ok".into(), Json::Bool(true)),
         ("op".into(), Json::str("stats")),
-        ("hits".into(), Json::Num(snap.hits as f64)),
-        ("misses".into(), Json::Num(snap.misses as f64)),
-        ("hit_rate".into(), Json::Num(snap.hit_rate())),
-        ("cache".into(), cache_levels_json(snap)),
-        ("slots_emitted".into(), Json::Num(snap.slots_emitted as f64)),
-        ("errors".into(), Json::Num(snap.errors as f64)),
-        (
-            "pool".into(),
-            Json::Obj(vec![
-                ("fast".into(), Json::Num(snap.pool_fast as f64)),
-                ("overflows".into(), Json::Num(snap.pool_overflows as f64)),
-                ("blocked".into(), Json::Num(snap.pool_blocked as f64)),
-            ]),
-        ),
-        (
-            "admission_waits".into(),
-            Json::Num(snap.admission_waits as f64),
-        ),
-        ("batches".into(), Json::Num(snap.batches as f64)),
-        ("batch_plans".into(), Json::Num(snap.batch_plans as f64)),
-        (
-            "connections".into(),
-            Json::Obj(vec![
-                ("active".into(), Json::Num(snap.active_connections() as f64)),
-                ("opened".into(), Json::Num(snap.conns_opened as f64)),
-                ("closed".into(), Json::Num(snap.conns_closed as f64)),
-                ("rejected".into(), Json::Num(snap.conns_rejected as f64)),
-                ("json".into(), Json::Num(snap.json_connections() as f64)),
-                ("binary".into(), Json::Num(snap.conns_binary as f64)),
-            ]),
-        ),
-        (
-            "wire".into(),
-            Json::Obj(vec![
-                (
-                    "json".into(),
-                    Json::Obj(vec![
-                        ("bytes_in".into(), Json::Num(snap.json_bytes_in as f64)),
-                        ("bytes_out".into(), Json::Num(snap.json_bytes_out as f64)),
-                    ]),
-                ),
-                (
-                    "binary".into(),
-                    Json::Obj(vec![
-                        ("bytes_in".into(), Json::Num(snap.binary_bytes_in as f64)),
-                        ("bytes_out".into(), Json::Num(snap.binary_bytes_out as f64)),
-                    ]),
-                ),
-            ]),
-        ),
-        (
-            "oversized_lines".into(),
-            Json::Num(snap.oversized_lines as f64),
-        ),
-        ("read_timeouts".into(), Json::Num(snap.read_timeouts as f64)),
-        (
-            "sheds".into(),
-            Json::Obj(vec![
-                ("total".into(), Json::Num(snap.sheds() as f64)),
-                ("watermark".into(), Json::Num(snap.sheds_watermark as f64)),
-                ("quota".into(), Json::Num(snap.sheds_quota as f64)),
-            ]),
-        ),
-        (
-            "slow_traces".into(),
-            Json::Obj(vec![
-                ("emitted".into(), Json::Num(snap.slow_traces as f64)),
-                (
-                    "suppressed".into(),
-                    Json::Num(snap.slow_traces_suppressed as f64),
-                ),
-            ]),
-        ),
-        (
-            "degraded".into(),
-            Json::Obj(vec![
-                ("plans".into(), Json::Num(snap.degraded_plans as f64)),
-                ("hits".into(), Json::Num(snap.degraded_hits as f64)),
-                (
-                    "unroutable_refusals".into(),
-                    Json::Num(snap.unroutable_refusals as f64),
-                ),
-            ]),
-        ),
-        (
-            "wire_errors".into(),
-            Json::Obj(
-                WireErrorKind::ALL
-                    .into_iter()
-                    .zip(snap.wire_errors)
-                    .map(|(kind, count)| (kind.name().to_string(), Json::Num(count as f64)))
-                    .collect(),
-            ),
-        ),
-        ("arena_bytes".into(), Json::Num(snap.arena_bytes as f64)),
-        ("cache_entries".into(), Json::Num(snap.cache_entries as f64)),
-        (
-            "cache_capacity".into(),
-            Json::Num(snap.cache_capacity as f64),
-        ),
-        ("kinds".into(), kinds_json(snap)),
-        ("topologies".into(), Json::Arr(per_topology)),
-        (
-            "router".into(),
-            Json::Obj(vec![
-                ("topologies".into(), Json::num(topologies.len())),
-                ("hits".into(), Json::Num(router.hits as f64)),
-                ("built".into(), Json::Num(router.built as f64)),
-                ("evictions".into(), Json::Num(router.evictions as f64)),
-                ("rejections".into(), Json::Num(router.rejections as f64)),
-            ]),
-        ),
-    ])
+    ];
+    doc.extend(json_fields(SNAPSHOT_ROWS, snap));
+    doc.push(("kinds".into(), kinds_json(snap)));
+    doc.push(("topologies".into(), Json::Arr(per_topology)));
+    doc.extend(json_fields(
+        ROUTER_ROWS,
+        &(topologies.len() as u64, *router),
+    ));
+    Json::Obj(doc)
 }
 
 /// The per-level cache view shared by the `stats` and `cache` ops:
@@ -801,31 +670,10 @@ pub fn stats_response(
 /// counts whole-request lookups, level 2 counts h-relation phases, so the
 /// phase cache's effectiveness is directly observable.
 pub fn cache_levels_json(snap: &MetricsSnapshot) -> Json {
-    Json::Obj(vec![
-        (
-            "l1".into(),
-            Json::Obj(vec![
-                ("hits".into(), Json::Num(snap.hits as f64)),
-                ("misses".into(), Json::Num(snap.misses as f64)),
-                ("hit_rate".into(), Json::Num(snap.hit_rate())),
-                ("entries".into(), Json::Num(snap.cache_entries as f64)),
-                ("capacity".into(), Json::Num(snap.cache_capacity as f64)),
-            ]),
-        ),
-        (
-            "l2".into(),
-            Json::Obj(vec![
-                ("hits".into(), Json::Num(snap.phase_hits as f64)),
-                ("misses".into(), Json::Num(snap.phase_misses as f64)),
-                ("hit_rate".into(), Json::Num(snap.phase_hit_rate())),
-                ("entries".into(), Json::Num(snap.phase_cache_entries as f64)),
-                (
-                    "capacity".into(),
-                    Json::Num(snap.phase_cache_capacity as f64),
-                ),
-            ]),
-        ),
-    ])
+    json_fields(SNAPSHOT_ROWS, snap)
+        .into_iter()
+        .find_map(|(key, value)| (key == "cache").then_some(value))
+        .unwrap_or(Json::Null)
 }
 
 /// The `cache` response for the `stats` action.
@@ -1453,5 +1301,13 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), kinds.len());
+        assert_eq!(
+            kinds,
+            WireErrorKind::ALL,
+            "ALL lists every kind in index order"
+        );
+        for (i, kind) in kinds.into_iter().enumerate() {
+            assert_eq!(kind.index(), i);
+        }
     }
 }

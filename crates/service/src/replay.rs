@@ -28,13 +28,9 @@ use pops_permutation::families::random_permutation;
 use pops_permutation::{Permutation, SplitMix64};
 
 use crate::client::{BatchItem, ClientError, ServiceClient};
-use crate::metrics::RequestKind;
+use crate::metrics::{quantile, LatencyHistogram, RequestKind};
 use crate::proto::{WireErrorKind, WireFormat};
 use crate::record::{RecordedBatchItem, RecordedOp, RecordedRequest};
-
-/// Latency histogram buckets (log₂ microseconds), mirroring
-/// [`crate::metrics::LatencyHistogram`].
-const LATENCY_BUCKETS: usize = 64;
 
 /// Most error / verification-failure sample messages a report keeps.
 const MAX_SAMPLES: usize = 8;
@@ -98,8 +94,8 @@ pub struct ReplayReport {
     /// Requests per op label (`route:<kind>`, `batch`, `cache:<action>`).
     pub per_op: BTreeMap<String, u64>,
     /// Log₂-bucketed client-observed latency of successful requests, in
-    /// microseconds.
-    pub latency: Vec<u64>,
+    /// microseconds (64 buckets, enough for any latency).
+    pub latency: LatencyHistogram<64>,
     /// First few hard-failure messages.
     pub error_samples: Vec<String>,
     /// First few verification-failure messages.
@@ -122,7 +118,7 @@ impl Default for ReplayReport {
             degraded: 0,
             batch_items: 0,
             per_op: BTreeMap::new(),
-            latency: vec![0; LATENCY_BUCKETS],
+            latency: LatencyHistogram::default(),
             error_samples: Vec::new(),
             verify_samples: Vec::new(),
             wall: Duration::ZERO,
@@ -132,13 +128,6 @@ impl Default for ReplayReport {
 }
 
 impl ReplayReport {
-    fn observe_latency(&mut self, micros: u64) {
-        let bucket = (u64::BITS - micros.leading_zeros()) as usize;
-        let bucket = bucket.min(LATENCY_BUCKETS - 1);
-        // lint: allow(panic-freedom) -- bucket is clamped below LATENCY_BUCKETS
-        self.latency[bucket] += 1;
-    }
-
     fn sample_error(&mut self, message: String) {
         if self.error_samples.len() < MAX_SAMPLES {
             self.error_samples.push(message);
@@ -163,9 +152,7 @@ impl ReplayReport {
         for (op, count) in other.per_op {
             *self.per_op.entry(op).or_insert(0) += count;
         }
-        for (mine, theirs) in self.latency.iter_mut().zip(&other.latency) {
-            *mine += theirs;
-        }
+        self.latency.absorb(&other.latency.snapshot());
         for sample in other.error_samples {
             self.sample_error(sample);
         }
@@ -186,22 +173,10 @@ impl ReplayReport {
     }
 
     /// The `q`-quantile of successful-request latency in microseconds,
-    /// reported as the upper edge of the histogram bucket containing it
-    /// (log₂ buckets — a conservative estimate).
+    /// reported as the inclusive upper edge of the histogram bucket
+    /// containing it (log₂ buckets — a conservative estimate).
     pub fn quantile_micros(&self, q: f64) -> u64 {
-        let total: u64 = self.latency.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
-        let mut seen = 0u64;
-        for (bucket, &count) in self.latency.iter().enumerate() {
-            seen += count;
-            if seen >= rank {
-                return if bucket == 0 { 0 } else { (1u64 << bucket) - 1 };
-            }
-        }
-        u64::MAX
+        quantile(&self.latency.snapshot(), q)
     }
 
     /// A human-readable multi-line summary.
@@ -477,7 +452,8 @@ impl ReplayWorker {
             Ok(reply) => {
                 self.report.ok += 1;
                 self.report
-                    .observe_latency(started.elapsed().as_micros() as u64);
+                    .latency
+                    .record(started.elapsed().as_micros() as u64);
                 self.report.cache_hits += reply.cache_hit as u64;
                 self.report.degraded += reply.degraded as u64;
                 if self.verify && kind != RequestKind::HRelation && !reply.schedule.slots.is_empty()
@@ -530,7 +506,8 @@ impl ReplayWorker {
             Ok(reply) => {
                 self.report.ok += 1;
                 self.report
-                    .observe_latency(started.elapsed().as_micros() as u64);
+                    .latency
+                    .record(started.elapsed().as_micros() as u64);
                 if verify {
                     for (submitted, result) in items.iter().zip(&reply.items) {
                         let Ok(item_reply) = result else { continue };
@@ -819,14 +796,14 @@ mod tests {
 
     #[test]
     fn gates_flag_breaches() {
-        let mut report = ReplayReport {
+        let report = ReplayReport {
             sent: 100,
             ok: 90,
             sheds: 10,
             verify_failures: 1,
             ..ReplayReport::default()
         };
-        report.observe_latency(5_000); // p99 bucket edge ≈ 8191 us
+        report.latency.record(5_000); // p99 bucket edge ≈ 8191 us
         let strict = SloGates {
             p99_ms: Some(1.0),
             max_shed_rate: Some(0.05),
@@ -847,11 +824,11 @@ mod tests {
 
     #[test]
     fn quantiles_come_from_bucket_edges() {
-        let mut report = ReplayReport::default();
+        let report = ReplayReport::default();
         for _ in 0..99 {
-            report.observe_latency(3); // bucket 2, edge 3
+            report.latency.record(3); // bucket 2, edge 3
         }
-        report.observe_latency(1_000_000); // bucket 20, edge (1<<20)-1
+        report.latency.record(1_000_000); // bucket 20, edge (1<<20)-1
         assert_eq!(report.quantile_micros(0.50), 3);
         assert_eq!(report.quantile_micros(1.0), (1 << 20) - 1);
         assert_eq!(ReplayReport::default().quantile_micros(0.99), 0);

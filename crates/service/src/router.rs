@@ -418,11 +418,7 @@ impl TopologyRouter {
     /// cache entries are genuinely gone.
     fn retire(&self, service: &RoutingService) {
         let mut snap = service.metrics();
-        snap.arena_bytes = 0;
-        snap.cache_entries = 0;
-        snap.cache_capacity = 0;
-        snap.phase_cache_entries = 0;
-        snap.phase_cache_capacity = 0;
+        snap.clear_gauges();
         self.retired
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -530,6 +526,7 @@ impl DirLoadReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::{MetricKind, Reading, SNAPSHOT_ROWS};
     use crate::service::ServiceRequest;
     use pops_bipartite::ColorerKind;
     use pops_permutation::families::vector_reversal;
@@ -689,6 +686,11 @@ mod tests {
         assert_eq!((retired.hits, retired.misses), (1, 1), "history preserved");
         assert_eq!(retired.arena_bytes, 0, "gauges are zeroed: arenas are gone");
         assert_eq!(retired.cache_entries, 0);
+        for row in SNAPSHOT_ROWS.iter().filter(|r| r.kind == MetricKind::Gauge) {
+            if let Reading::Count(n) = (row.read)(&retired) {
+                assert_eq!(n, 0, "gauge {:?} leaked into the ledger", row.json);
+            }
+        }
     }
 
     #[test]

@@ -502,12 +502,12 @@ pub fn serve_router(
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .len();
         if active >= state.config.max_connections {
-            metrics.record_connection_rejected();
+            metrics.conns_rejected.inc();
             reject_at_capacity(stream, &state);
             continue;
         }
         connections += 1;
-        metrics.record_connection_opened();
+        metrics.conns_opened.inc();
         let id = next_id;
         next_id += 1;
         let handler_state = state.clone();
@@ -515,7 +515,7 @@ pub fn serve_router(
             .name(format!("pops-conn-{id}"))
             .spawn(move || {
                 let _ = handle_connection(stream, &handler_state, id);
-                handler_state.server_metrics.record_connection_closed();
+                handler_state.server_metrics.conns_closed.inc();
                 handler_state
                     .finished
                     .lock()
@@ -531,7 +531,7 @@ pub fn serve_router(
                     .insert(id, ConnHandle { join: Some(join) });
             }
             Err(_) => {
-                metrics.record_connection_closed();
+                metrics.conns_closed.inc();
             }
         }
     }
@@ -896,13 +896,13 @@ fn handle_connection(stream: TcpStream, state: &ServeState, conn_id: u64) -> std
         let (error, consumed) = match outcome {
             ReadOutcome::Eof | ReadOutcome::ShuttingDown => break,
             ReadOutcome::TimedOut { consumed } => {
-                metrics.record_read_timeout();
+                metrics.read_timeouts.inc();
                 let budget = config.read_timeout.unwrap_or_default();
                 let msg = format!("no complete {unit} within {budget:?}");
                 (WireError::new(WireErrorKind::Timeout, msg), consumed)
             }
             ReadOutcome::TooLong { consumed } => {
-                metrics.record_oversized_line();
+                metrics.oversized_lines.inc();
                 let msg = format!("{unit} exceeds the {}-byte {cap}", config.max_line_bytes);
                 (WireError::new(WireErrorKind::TooLarge, msg), consumed)
             }
@@ -1010,7 +1010,7 @@ fn serve_message(
     // effect on the next message.
     if let Some(format) = switch_to {
         if format == WireFormat::Binary && conn.format != WireFormat::Binary {
-            metrics.record_binary_negotiated();
+            metrics.conns_binary.inc();
         }
         conn.format = format;
     }

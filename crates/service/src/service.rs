@@ -193,7 +193,7 @@ impl Admission {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         if *count >= self.max {
-            metrics.record_admission_wait();
+            metrics.admission_waits.inc();
             while *count >= self.max {
                 count = self
                     .freed
@@ -373,7 +373,7 @@ impl RoutingService {
             let micros = start.elapsed().as_micros() as u64;
             self.metrics.record_hit(kind, micros);
             if degraded {
-                self.metrics.record_degraded_hit();
+                self.metrics.degraded_hits.inc();
             }
             return Ok(ServiceReply {
                 outcome,
@@ -393,7 +393,7 @@ impl RoutingService {
             if let ServiceRequest::WithFaults { faults, .. } = req {
                 if let Some((src_group, dst_group)) = disconnected_pair(faults, &self.topology) {
                     self.metrics.record_error(kind);
-                    self.metrics.record_unroutable();
+                    self.metrics.unroutable_refusals.inc();
                     return Err(RoutingError::Fault(FaultRoutingError::Disconnected {
                         src_group,
                         dst_group,
@@ -424,7 +424,7 @@ impl RoutingService {
                 let micros = start.elapsed().as_micros() as u64;
                 self.metrics.record_miss(kind, slots, micros);
                 if degraded {
-                    self.metrics.record_degraded_plan();
+                    self.metrics.degraded_plans.inc();
                 }
                 Ok(ServiceReply {
                     outcome,
@@ -468,7 +468,7 @@ impl RoutingService {
             let completed = phase.complete();
             let pkey = phase_key(t.d(), t.g(), &completed);
             if let Some(cached) = self.phase_cache.get(&pkey) {
-                self.metrics.record_phase_hit();
+                self.metrics.phase_hits.inc();
                 phase_hits += 1;
                 blocks.push(Schedule {
                     slots: cached.slots.clone(),
@@ -477,7 +477,7 @@ impl RoutingService {
                 let plan = self
                     .pool
                     .with_engine(|engine| engine.plan_theorem2(&completed));
-                self.metrics.record_phase_miss();
+                self.metrics.phase_misses.inc();
                 if self.phase_caching {
                     self.phase_cache
                         .insert(pkey, Arc::new(plan.schedule.clone()));
