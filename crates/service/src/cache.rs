@@ -21,6 +21,10 @@
 //!   level-1 keys differ. Plain `theorem2` requests populate level 2 too:
 //!   a permutation routed once as a request later serves as a cached phase.
 //!
+//! Both levels hold [`CachedOutcome`]s under `Arc<[u8]>` keys, so a
+//! `theorem2` miss stores its plan and its key once: level 2 gets the
+//! same two `Arc`s as level 1, not copies.
+//!
 //! # Canonical keys
 //!
 //! A key is the byte string `kind ‖ d ‖ g ‖ payload` ([`canonical_key`]):
@@ -35,21 +39,30 @@
 //!
 //! # The LRU
 //!
-//! A slab-backed doubly-linked list threaded through a `HashMap`: `get`
-//! and `insert` are O(1), eviction pops the list tail. No external
-//! dependency and no unsafe.
+//! A slab-backed doubly-linked list indexed by a `HashMap` from key hash
+//! to slab slot: `get` and `insert` are O(1), eviction pops the list
+//! tail. Keys whose hashes collide are chained through their slots and
+//! told apart by a full-byte compare. No external dependency and no
+//! unsafe.
 //!
 //! # Sharding
 //!
-//! A [`ShardedPlanCache`] splits one logical LRU into N key-hashed
-//! [`PlanCache`] shards behind independent mutexes, so concurrent hits on
-//! different shards never serialize — the single cache mutex was the
-//! service's documented throughput ceiling above ~10⁶ hits/sec. Recency
-//! and eviction are per shard (the hash spreads keys uniformly, so each
-//! shard behaves like an LRU over its 1/N-th of the keyspace).
+//! A [`ShardedPlanCache`] splits one logical LRU into N LRU shards
+//! behind independent mutexes, so concurrent hits on different
+//! shards never serialize. A request's key is hashed **once**, by a
+//! [`KeyHasher`]: std's SipHash keyed with a per-process random key, so
+//! a client cannot choose keys that pile into one shard. The shard is
+//! picked from the hash's high bits by multiply-shift (any shard count
+//! works), and the shard's map reuses the same hash instead of hashing
+//! the bytes again. Both levels of a service share one hasher, so the
+//! hash computed for a level-1 lookup also files the plan in level 2.
+//! Recency and eviction are per shard: each shard is an LRU over about
+//! 1/N-th of the keys.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use pops_core::RoutingOutcome;
 use pops_permutation::Permutation;
@@ -61,7 +74,15 @@ const NIL: usize = usize::MAX;
 
 /// Builds the canonical cache key of `req` on a POPS(d, g) service.
 pub fn canonical_key(d: usize, g: usize, req: &ServiceRequest) -> Box<[u8]> {
-    let mut key = Vec::with_capacity(16 + 4 * d * g);
+    let payload = match req {
+        ServiceRequest::HRelation { relation } => 4 + 8 * relation.requests().len(),
+        ServiceRequest::WithFaults { pi, faults } => 4 + 4 * (faults.failed_count() + pi.len()),
+        ServiceRequest::Theorem2 { pi }
+        | ServiceRequest::SingleSlot { pi }
+        | ServiceRequest::Direct { pi }
+        | ServiceRequest::Structured { pi } => 4 * pi.len(),
+    };
+    let mut key = Vec::with_capacity(9 + payload);
     key.push(req.kind().index() as u8);
     key.extend_from_slice(&(d as u32).to_le_bytes());
     key.extend_from_slice(&(g as u32).to_le_bytes());
@@ -103,7 +124,7 @@ pub fn canonical_key(d: usize, g: usize, req: &ServiceRequest) -> Box<[u8]> {
 /// a permutation routed as a plain request and the same permutation
 /// appearing as an h-relation phase share one level-2 entry.
 pub fn phase_key(d: usize, g: usize, completed: &Permutation) -> Box<[u8]> {
-    let mut key = Vec::with_capacity(9 + 4 * d * g);
+    let mut key = Vec::with_capacity(9 + 4 * completed.len());
     key.push(RequestKind::Theorem2.index() as u8);
     key.extend_from_slice(&(d as u32).to_le_bytes());
     key.extend_from_slice(&(g as u32).to_le_bytes());
@@ -113,41 +134,71 @@ pub fn phase_key(d: usize, g: usize, completed: &Permutation) -> Box<[u8]> {
     key.into_boxed_slice()
 }
 
-/// The cached value type: an immutable, thread-shareable routing outcome.
+/// The cached value type of both levels: an immutable, thread-shareable
+/// routing outcome. Level-2 entries are Theorem-2 outcomes (or, for
+/// phases planned inside an h-relation and restored spills, bare
+/// [`RoutingOutcome::Schedule`]s); the assembler reads their
+/// [`RoutingOutcome::schedule`].
 pub type CachedOutcome = Arc<RoutingOutcome>;
 
-/// The level-2 cached value: one phase's Theorem-2 schedule. The `Arc`
-/// makes the *lookup* a pointer clone; assembling an h-relation then
-/// copies the hit's slots into the concatenated schedule (cheaper than
-/// re-running the construction, which is what a miss pays).
-pub type CachedPhase = Arc<pops_network::Schedule>;
+/// The keyed hash of canonical key bytes: std's SipHash
+/// ([`RandomState`]) under a random key drawn once per hasher, so the
+/// shard a key lands in cannot be predicted from outside the process.
+/// Clones hash identically; two hashers made by [`KeyHasher::new`] do
+/// not.
+#[derive(Debug, Clone, Default)]
+pub struct KeyHasher(RandomState);
+
+impl KeyHasher {
+    /// A hasher with a fresh random key.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The 64-bit hash of `key`'s bytes.
+    pub fn hash(&self, key: &[u8]) -> u64 {
+        self.0.hash_one(key)
+    }
+}
+
+/// The shard maps' hasher: their keys are already [`KeyHasher`] hashes,
+/// so it passes the `u64` through instead of hashing it again.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn write(&mut self, bytes: &[u8]) {
+        // Unused (the map's keys are `u64`s), but must still hash.
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 struct Slot<V> {
-    key: Box<[u8]>,
+    key: Arc<[u8]>,
+    hash: u64,
     value: V,
     prev: usize,
     next: usize,
+    /// The next slot whose key has the same hash (`NIL` ends the chain).
+    collision: usize,
 }
 
-/// A fixed-capacity LRU map from canonical keys to values — one shard of
-/// a [`ShardedPlanCache`] (the service instantiates the levels at
-/// `V = `[`CachedOutcome`] and `V = `[`CachedPhase`]). Capacity 0
-/// disables caching entirely.
-///
-/// ```
-/// use pops_service::PlanCache;
-///
-/// let mut cache: PlanCache<u32> = PlanCache::new(2);
-/// cache.insert(b"a".to_vec().into_boxed_slice(), 1);
-/// cache.insert(b"b".to_vec().into_boxed_slice(), 2);
-/// assert_eq!(cache.get(b"a"), Some(1)); // "a" is now most recent
-/// cache.insert(b"c".to_vec().into_boxed_slice(), 3); // evicts "b"
-/// assert_eq!(cache.get(b"b"), None);
-/// assert_eq!(cache.len(), 2);
-/// ```
-pub struct PlanCache<V> {
+/// A fixed-capacity LRU map from hashed canonical keys to values — one
+/// shard of a [`ShardedPlanCache`]. Capacity 0 disables caching entirely.
+struct PlanCache<V> {
     capacity: usize,
-    map: HashMap<Box<[u8]>, usize>,
+    /// Key hash → the first slot holding a key with that hash.
+    map: HashMap<u64, usize, BuildHasherDefault<PassThrough>>,
     slots: Vec<Slot<V>>,
     free: Vec<usize>,
     head: usize,
@@ -155,11 +206,10 @@ pub struct PlanCache<V> {
 }
 
 impl<V: Clone> PlanCache<V> {
-    /// An empty cache holding at most `capacity` plans.
-    pub fn new(capacity: usize) -> Self {
+    fn new(capacity: usize) -> Self {
         Self {
             capacity,
-            map: HashMap::with_capacity(capacity.min(1 << 20)),
+            map: HashMap::with_capacity_and_hasher(capacity.min(1 << 20), Default::default()),
             slots: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -167,74 +217,94 @@ impl<V: Clone> PlanCache<V> {
         }
     }
 
-    /// Entries currently held.
-    pub fn len(&self) -> usize {
-        self.map.len()
+    fn len(&self) -> usize {
+        self.slots.len() - self.free.len()
     }
 
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// The eviction capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+    /// The slot holding `key`, if cached.
+    fn find(&self, hash: u64, key: &[u8]) -> Option<usize> {
+        let mut idx = *self.map.get(&hash)?;
+        while idx != NIL {
+            if *self.slots[idx].key == *key {
+                return Some(idx);
+            }
+            idx = self.slots[idx].collision;
+        }
+        None
     }
 
     /// Looks `key` up, marking the entry most-recently-used on a hit.
-    pub fn get(&mut self, key: &[u8]) -> Option<V> {
-        let &idx = self.map.get(key)?;
+    fn get(&mut self, hash: u64, key: &[u8]) -> Option<V> {
+        let idx = self.find(hash, key)?;
         self.unlink(idx);
         self.push_front(idx);
         Some(self.slots[idx].value.clone())
     }
 
     /// Inserts (or refreshes) `key → value`, evicting the least-recently-
-    /// used entry if the cache is full.
-    pub fn insert(&mut self, key: Box<[u8]>, value: V) {
+    /// used entry if the cache is full. Returns whether it evicted.
+    fn insert(&mut self, hash: u64, key: Arc<[u8]>, value: V) -> bool {
         if self.capacity == 0 {
-            return;
+            return false;
         }
-        if let Some(&idx) = self.map.get(&key) {
+        if let Some(idx) = self.find(hash, &key) {
             self.slots[idx].value = value;
             self.unlink(idx);
             self.push_front(idx);
-            return;
+            return false;
         }
-        if self.map.len() == self.capacity {
+        let evicted = self.len() == self.capacity;
+        if evicted {
             let lru = self.tail;
-            debug_assert_ne!(lru, NIL);
             self.unlink(lru);
-            self.map.remove(&self.slots[lru].key);
+            self.unchain(lru);
             self.free.push(lru);
         }
+        let slot = Slot {
+            collision: self.map.get(&hash).copied().unwrap_or(NIL),
+            key,
+            hash,
+            value,
+            prev: NIL,
+            next: NIL,
+        };
         let idx = match self.free.pop() {
             Some(idx) => {
-                self.slots[idx] = Slot {
-                    key: key.clone(),
-                    value,
-                    prev: NIL,
-                    next: NIL,
-                };
+                self.slots[idx] = slot;
                 idx
             }
             None => {
-                self.slots.push(Slot {
-                    key: key.clone(),
-                    value,
-                    prev: NIL,
-                    next: NIL,
-                });
+                self.slots.push(slot);
                 self.slots.len() - 1
             }
         };
-        self.map.insert(key, idx);
+        self.map.insert(hash, idx);
         self.push_front(idx);
+        evicted
     }
 
-    /// Drops every entry (capacity is kept).
-    pub fn clear(&mut self) {
+    /// Removes slot `idx` from its hash's collision chain.
+    fn unchain(&mut self, idx: usize) {
+        let (hash, after) = (self.slots[idx].hash, self.slots[idx].collision);
+        let Some(&first) = self.map.get(&hash) else {
+            return;
+        };
+        if first == idx {
+            if after == NIL {
+                self.map.remove(&hash);
+            } else {
+                self.map.insert(hash, after);
+            }
+            return;
+        }
+        let mut at = first;
+        while self.slots[at].collision != idx {
+            at = self.slots[at].collision;
+        }
+        self.slots[at].collision = after;
+    }
+
+    fn clear(&mut self) {
         self.map.clear();
         self.slots.clear();
         self.free.clear();
@@ -271,10 +341,8 @@ impl<V: Clone> PlanCache<V> {
     }
 
     /// Visits every entry from least- to most-recently used **without**
-    /// touching recency — the spill path ([`crate::persist`]) writes
-    /// entries in this order so a later restore, which inserts in file
-    /// order, reproduces the same recency ranking.
-    pub fn for_each_lru(&self, mut f: impl FnMut(&[u8], &V)) {
+    /// touching recency.
+    fn for_each_lru(&self, mut f: impl FnMut(&Arc<[u8]>, &V)) {
         let mut idx = self.tail;
         while idx != NIL {
             let slot = &self.slots[idx];
@@ -284,58 +352,67 @@ impl<V: Clone> PlanCache<V> {
     }
 }
 
-impl<V> std::fmt::Debug for PlanCache<V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PlanCache")
-            .field("capacity", &self.capacity)
-            .field("len", &self.map.len())
-            .finish()
-    }
-}
-
-/// FNV-1a over a byte string — the shard selector, and the integrity
-/// checksum of the spill file ([`crate::persist`]). Any decent byte hash
-/// works; FNV is dependency-free and two lines.
-pub(crate) fn fnv1a64(key: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in key {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// A concurrent LRU: N key-hashed [`PlanCache`] shards behind independent
-/// mutexes. Hits on different shards proceed in parallel; total capacity
-/// is split evenly across shards (remainder to the first shards), so the
-/// logical capacity is exactly what was asked for.
+/// A concurrent LRU: N LRU shards behind independent mutexes,
+/// indexed by one [`KeyHasher`] hash per key. Hits on different shards
+/// proceed in parallel; total capacity is split evenly across shards
+/// (remainder to the first shards), so the logical capacity is exactly
+/// what was asked for.
+///
+/// Callers hash a key once with [`ShardedPlanCache::hash`] and pass that
+/// hash to [`get`](ShardedPlanCache::get) and
+/// [`insert`](ShardedPlanCache::insert), here and in any cache built
+/// [`with_hasher`](ShardedPlanCache::with_hasher) a clone of this one's
+/// hasher.
 ///
 /// ```
+/// use std::sync::Arc;
 /// use pops_service::cache::ShardedPlanCache;
 ///
 /// let cache: ShardedPlanCache<u32> = ShardedPlanCache::new(100, 8);
 /// assert_eq!((cache.capacity(), cache.shard_count()), (100, 8));
-/// cache.insert(b"plan".to_vec().into_boxed_slice(), 7);
-/// assert_eq!(cache.get(b"plan"), Some(7));
-/// assert_eq!(cache.get(b"other"), None);
+/// let hash = cache.hash(b"plan");
+/// assert!(!cache.insert(hash, Arc::from(&b"plan"[..]), 7)); // nothing evicted
+/// assert_eq!(cache.get(hash, b"plan"), Some(7));
+/// assert_eq!(cache.get(cache.hash(b"other"), b"other"), None);
 /// assert_eq!(cache.len(), 1);
 /// ```
 pub struct ShardedPlanCache<V> {
+    hasher: KeyHasher,
     shards: Vec<Mutex<PlanCache<V>>>,
 }
 
 impl<V: Clone> ShardedPlanCache<V> {
     /// A cache of total capacity `capacity` split over `shards` shards
-    /// (clamped to at least 1; capacity 0 disables caching entirely).
+    /// (clamped to at least 1; capacity 0 disables caching entirely),
+    /// with a fresh [`KeyHasher`].
     pub fn new(capacity: usize, shards: usize) -> Self {
+        Self::with_hasher(capacity, shards, KeyHasher::new())
+    }
+
+    /// Like [`ShardedPlanCache::new`], hashing keys with `hasher` — pass
+    /// a clone of another cache's [`hasher`](ShardedPlanCache::hasher) to
+    /// reuse one key hash for both.
+    pub fn with_hasher(capacity: usize, shards: usize, hasher: KeyHasher) -> Self {
         let shards = shards.max(1).min(capacity.max(1));
         let base = capacity / shards;
         let extra = capacity % shards;
         Self {
+            hasher,
             shards: (0..shards)
                 .map(|s| Mutex::new(PlanCache::new(base + usize::from(s < extra))))
                 .collect(),
         }
+    }
+
+    /// The hasher this cache indexes keys by.
+    pub fn hasher(&self) -> &KeyHasher {
+        &self.hasher
+    }
+
+    /// The hash of `key` that [`get`](Self::get) and
+    /// [`insert`](Self::insert) expect.
+    pub fn hash(&self, key: &[u8]) -> u64 {
+        self.hasher.hash(key)
     }
 
     /// Number of shards (independent locks).
@@ -343,58 +420,61 @@ impl<V: Clone> ShardedPlanCache<V> {
         self.shards.len()
     }
 
+    /// The shard a key with this hash lives in: the high bits of
+    /// `hash × shard_count`, so every shard gets an equal slice of the
+    /// hash range whatever the shard count.
+    pub fn shard_index(&self, hash: u64) -> usize {
+        ((u128::from(hash) * self.shards.len() as u128) >> 64) as usize
+    }
+
     /// Total eviction capacity across shards.
     pub fn capacity(&self) -> usize {
-        self.shards.iter().map(|s| self.lock(s).capacity()).sum()
+        self.shards.iter().map(|s| lock(s).capacity).sum()
     }
 
     /// Entries currently held across shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| self.lock(s).len()).sum()
+        self.shards.iter().map(|s| lock(s).len()).sum()
     }
 
     /// Whether no shard holds an entry.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| self.lock(s).is_empty())
+        self.len() == 0
     }
 
-    fn lock<'a>(&self, shard: &'a Mutex<PlanCache<V>>) -> std::sync::MutexGuard<'a, PlanCache<V>> {
-        shard
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn shard_of(&self, key: &[u8]) -> &Mutex<PlanCache<V>> {
-        &self.shards[(fnv1a64(key) % self.shards.len() as u64) as usize]
-    }
-
-    /// Looks `key` up in its shard, marking the entry most-recently-used
-    /// there on a hit. Only that shard's lock is taken.
-    pub fn get(&self, key: &[u8]) -> Option<V> {
-        self.lock(self.shard_of(key)).get(key)
+    /// Looks `key` (hashed to `hash`) up in its shard, marking the entry
+    /// most-recently-used there on a hit. Only that shard's lock is
+    /// taken, and nothing is allocated.
+    pub fn get(&self, hash: u64, key: &[u8]) -> Option<V> {
+        lock(&self.shards[self.shard_index(hash)]).get(hash, key)
     }
 
     /// Inserts (or refreshes) `key → value` in its shard, evicting that
-    /// shard's least-recently-used entry if the shard is full.
-    pub fn insert(&self, key: Box<[u8]>, value: V) {
-        self.lock(self.shard_of(&key)).insert(key, value);
+    /// shard's least-recently-used entry if the shard is full. Returns
+    /// whether an entry was evicted.
+    pub fn insert(&self, hash: u64, key: Arc<[u8]>, value: V) -> bool {
+        lock(&self.shards[self.shard_index(hash)]).insert(hash, key, value)
     }
 
     /// Drops every entry in every shard (capacities are kept).
     pub fn clear(&self) {
         for shard in &self.shards {
-            self.lock(shard).clear();
+            lock(shard).clear();
         }
     }
 
     /// Visits every entry, shard by shard, least-recently-used first
-    /// within each shard (see [`PlanCache::for_each_lru`]). Takes one
-    /// shard lock at a time.
-    pub fn for_each_lru(&self, mut f: impl FnMut(&[u8], &V)) {
+    /// within each shard, without touching recency. Takes one shard lock
+    /// at a time.
+    pub fn for_each_lru(&self, mut f: impl FnMut(&Arc<[u8]>, &V)) {
         for shard in &self.shards {
-            self.lock(shard).for_each_lru(&mut f);
+            lock(shard).for_each_lru(&mut f);
         }
     }
+}
+
+fn lock<V>(shard: &Mutex<PlanCache<V>>) -> MutexGuard<'_, PlanCache<V>> {
+    shard.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl<V> std::fmt::Debug for ShardedPlanCache<V> {
@@ -413,53 +493,92 @@ mod tests {
     use pops_network::PopsTopology;
     use pops_permutation::families::vector_reversal;
 
-    fn key_of(bytes: &[u8]) -> Box<[u8]> {
-        bytes.to_vec().into_boxed_slice()
+    fn key_of(bytes: &[u8]) -> Arc<[u8]> {
+        Arc::from(bytes)
+    }
+
+    /// A fixed test hash, so single-shard tests can force collisions.
+    fn h(key: &[u8]) -> u64 {
+        key.iter()
+            .fold(7, |h: u64, &b| h.wrapping_mul(31) + u64::from(b))
+    }
+
+    impl PlanCache<u32> {
+        fn put(&mut self, key: &[u8], value: u32) -> bool {
+            self.insert(h(key), key_of(key), value)
+        }
+
+        fn lookup(&mut self, key: &[u8]) -> Option<u32> {
+            self.get(h(key), key)
+        }
     }
 
     #[test]
     fn lru_evicts_least_recently_used() {
         let mut cache: PlanCache<u32> = PlanCache::new(2);
-        cache.insert(key_of(b"a"), 1);
-        cache.insert(key_of(b"b"), 2);
-        assert_eq!(cache.get(b"a"), Some(1)); // a is now MRU
-        cache.insert(key_of(b"c"), 3); // evicts b
-        assert_eq!(cache.get(b"b"), None);
-        assert_eq!(cache.get(b"a"), Some(1));
-        assert_eq!(cache.get(b"c"), Some(3));
+        assert!(!cache.put(b"a", 1));
+        assert!(!cache.put(b"b", 2));
+        assert_eq!(cache.lookup(b"a"), Some(1)); // a is now MRU
+        assert!(cache.put(b"c", 3), "evicts b");
+        assert_eq!(cache.lookup(b"b"), None);
+        assert_eq!(cache.lookup(b"a"), Some(1));
+        assert_eq!(cache.lookup(b"c"), Some(3));
         assert_eq!(cache.len(), 2);
     }
 
     #[test]
     fn reinsert_refreshes_value_and_recency() {
         let mut cache: PlanCache<u32> = PlanCache::new(2);
-        cache.insert(key_of(b"a"), 1);
-        cache.insert(key_of(b"b"), 2);
-        cache.insert(key_of(b"a"), 10); // refresh, a becomes MRU
-        cache.insert(key_of(b"c"), 3); // evicts b
-        assert_eq!(cache.get(b"a"), Some(10));
-        assert_eq!(cache.get(b"b"), None);
+        cache.put(b"a", 1);
+        cache.put(b"b", 2);
+        assert!(!cache.put(b"a", 10), "a refresh evicts nothing"); // a becomes MRU
+        cache.put(b"c", 3); // evicts b
+        assert_eq!(cache.lookup(b"a"), Some(10));
+        assert_eq!(cache.lookup(b"b"), None);
     }
 
     #[test]
     fn zero_capacity_disables_caching() {
         let mut cache: PlanCache<u32> = PlanCache::new(0);
-        cache.insert(key_of(b"a"), 1);
-        assert_eq!(cache.get(b"a"), None);
-        assert!(cache.is_empty());
+        assert!(!cache.put(b"a", 1));
+        assert_eq!(cache.lookup(b"a"), None);
+        assert_eq!(cache.len(), 0);
     }
 
     #[test]
     fn eviction_slots_are_reused() {
         let mut cache: PlanCache<u32> = PlanCache::new(3);
         for round in 0u32..50 {
-            cache.insert(key_of(format!("k{round}").as_bytes()), round);
+            cache.put(format!("k{round}").as_bytes(), round);
         }
         assert_eq!(cache.len(), 3);
         assert!(cache.slots.len() <= 4, "slab must recycle evicted slots");
-        assert_eq!(cache.get(b"k49"), Some(49));
+        assert_eq!(cache.map.len(), 3);
+        assert_eq!(cache.lookup(b"k49"), Some(49));
         cache.clear();
-        assert!(cache.is_empty());
+        assert_eq!(cache.len(), 0);
+    }
+
+    #[test]
+    fn colliding_hashes_are_told_apart_by_their_bytes() {
+        // Every key under one hash: the chain must keep them distinct,
+        // and eviction must unlink the victim from the middle, the head
+        // or the end of the chain.
+        let mut cache: PlanCache<u32> = PlanCache::new(3);
+        for (i, key) in [b"a", b"b", b"c"].into_iter().enumerate() {
+            cache.insert(42, key_of(key), i as u32);
+        }
+        assert_eq!(cache.map.len(), 1);
+        assert_eq!(cache.get(42, b"b"), Some(1));
+        assert_eq!(cache.get(42, b"zz"), None, "same hash, other bytes: a miss");
+        assert!(cache.insert(42, key_of(b"d"), 3), "evicts a");
+        assert_eq!(cache.get(42, b"a"), None);
+        assert!(cache.insert(42, key_of(b"e"), 4), "evicts c");
+        assert!(cache.insert(42, key_of(b"f"), 5), "evicts b");
+        for (key, value) in [(b"d", 3), (b"e", 4), (b"f", 5)] {
+            assert_eq!(cache.get(42, key), Some(value));
+        }
+        assert_eq!((cache.len(), cache.map.len()), (3, 1));
     }
 
     #[test]
@@ -510,10 +629,10 @@ mod tests {
     #[test]
     fn for_each_lru_walks_tail_to_head() {
         let mut cache: PlanCache<u32> = PlanCache::new(3);
-        cache.insert(key_of(b"a"), 1);
-        cache.insert(key_of(b"b"), 2);
-        cache.insert(key_of(b"c"), 3);
-        assert_eq!(cache.get(b"a"), Some(1)); // a becomes MRU
+        cache.put(b"a", 1);
+        cache.put(b"b", 2);
+        cache.put(b"c", 3);
+        assert_eq!(cache.lookup(b"a"), Some(1)); // a becomes MRU
         let mut seen = Vec::new();
         cache.for_each_lru(|key, &v| seen.push((key.to_vec(), v)));
         assert_eq!(
@@ -532,7 +651,8 @@ mod tests {
         assert_eq!(cache.capacity(), 10, "capacity split must sum back");
         assert_eq!(cache.shard_count(), 4);
         for i in 0u32..100 {
-            cache.insert(key_of(format!("k{i}").as_bytes()), i);
+            let key = format!("k{i}");
+            cache.insert(cache.hash(key.as_bytes()), key_of(key.as_bytes()), i);
         }
         assert!(cache.len() <= 10, "len {} exceeds capacity", cache.len());
         assert!(!cache.is_empty());
@@ -550,13 +670,14 @@ mod tests {
         let cache: ShardedPlanCache<u32> = ShardedPlanCache::new(2, 16);
         assert!(cache.shard_count() <= 2);
         for i in 0u32..20 {
-            cache.insert(key_of(format!("k{i}").as_bytes()), i);
+            let key = format!("k{i}");
+            cache.insert(cache.hash(key.as_bytes()), key_of(key.as_bytes()), i);
         }
         assert!((1..=2).contains(&cache.len()), "len {}", cache.len());
         // Zero capacity still disables caching, sharded or not.
         let off: ShardedPlanCache<u32> = ShardedPlanCache::new(0, 8);
-        off.insert(key_of(b"a"), 1);
-        assert_eq!(off.get(b"a"), None);
+        off.insert(off.hash(b"a"), key_of(b"a"), 1);
+        assert_eq!(off.get(off.hash(b"a"), b"a"), None);
     }
 
     #[test]
@@ -568,16 +689,34 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..200u64 {
                         let key = key_of(format!("w{worker}-{i}").as_bytes());
-                        cache.insert(key.clone(), worker * 1000 + i);
+                        let hash = cache.hash(&key);
+                        cache.insert(hash, key.clone(), worker * 1000 + i);
                         // The entry may have been evicted by concurrent
                         // inserts, but a hit must never be a wrong value.
-                        let got = cache.get(&key);
+                        let got = cache.get(hash, &key);
                         assert!(got.is_none() || got == Some(worker * 1000 + i));
                     }
                 });
             }
         });
         assert!(cache.len() <= 256);
+    }
+
+    #[test]
+    fn the_key_hash_is_keyed_per_cache() {
+        let key = canonical_key(
+            4,
+            4,
+            &ServiceRequest::Theorem2 {
+                pi: vector_reversal(16),
+            },
+        );
+        let a: ShardedPlanCache<u32> = ShardedPlanCache::new(64, 4);
+        let b: ShardedPlanCache<u32> = ShardedPlanCache::new(64, 4);
+        assert_ne!(a.hash(&key), b.hash(&key), "fresh caches draw fresh keys");
+        let shared: ShardedPlanCache<u32> =
+            ShardedPlanCache::with_hasher(64, 4, a.hasher().clone());
+        assert_eq!(a.hash(&key), shared.hash(&key), "a shared hasher agrees");
     }
 
     #[test]

@@ -485,6 +485,13 @@ snapshot_table! {
     /// Level-2 phase-cache capacity.
     phase_cache_capacity: gauge ["cache", "l2", "capacity"]
         => "pops_cache_capacity" {level: "l2"};
+    /// Level-1 entries evicted to make room for a miss's plan.
+    evictions: counter ["cache", "l1", "evictions"]
+        => "pops_cache_evictions_total" {level: "l1"}
+           "Plan-cache entries evicted by the LRU to make room on a miss, by cache level.";
+    /// Level-2 entries evicted to make room for a missed phase's plan.
+    phase_evictions: counter ["cache", "l2", "evictions"]
+        => "pops_cache_evictions_total" {level: "l2"};
     /// Total slots across every schedule the service emitted.
     slots_emitted: counter ["slots_emitted"]
         => "pops_slots_emitted_total" "Total slots across every schedule the service emitted.";

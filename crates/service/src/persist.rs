@@ -169,6 +169,18 @@ fn decode_schedule(cur: &mut Cursor<'_>) -> Result<Schedule, PersistError> {
     Ok(schedule)
 }
 
+/// FNV-1a over a byte string: the spill file's integrity checksum, part
+/// of the version-1 format. It guards against bit rot and truncation, not
+/// against an adversary, and nothing else in the crate uses it.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// Serializes the two cache levels into the version-1 byte format.
 /// `l1`/`l2` yield `(key, schedule)` pairs least-recently-used first.
 pub fn encode_cache_file(d: usize, g: usize, l1: &[CacheEntry], l2: &[CacheEntry]) -> Vec<u8> {
@@ -183,7 +195,7 @@ pub fn encode_cache_file(d: usize, g: usize, l1: &[CacheEntry], l2: &[CacheEntry
         out.extend_from_slice(key);
         encode_schedule(schedule, &mut out);
     }
-    let checksum = crate::cache::fnv1a64(&out);
+    let checksum = fnv1a64(&out);
     out.extend_from_slice(&checksum.to_le_bytes());
     out
 }
@@ -215,7 +227,7 @@ pub fn decode_cache_file(
         return bail("truncated trailer");
     };
     let expect = u64::from_le_bytes(trailer);
-    let got = crate::cache::fnv1a64(body);
+    let got = fnv1a64(body);
     if got != expect {
         return bail(format!("checksum mismatch ({got:#018x} != {expect:#018x})"));
     }
@@ -410,7 +422,7 @@ mod tests {
         bytes.extend_from_slice(&4u32.to_le_bytes());
         bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // l1 count
         bytes.extend_from_slice(&0u32.to_le_bytes());
-        let checksum = crate::cache::fnv1a64(&bytes);
+        let checksum = fnv1a64(&bytes);
         bytes.extend_from_slice(&checksum.to_le_bytes());
         let err = decode_cache_file(&bytes, 4, 4).unwrap_err();
         assert!(err.to_string().contains("exceeds"), "{err}");

@@ -30,6 +30,7 @@
 //! assert!(!first.cache_hit && again.cache_hit);
 //! ```
 
+use std::collections::HashMap;
 use std::num::NonZeroUsize;
 use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex};
@@ -43,7 +44,7 @@ use pops_core::{
 use pops_network::{FaultSet, PopsTopology, Schedule, UNREACHABLE};
 use pops_permutation::Permutation;
 
-use crate::cache::{canonical_key, phase_key, CachedOutcome, CachedPhase, ShardedPlanCache};
+use crate::cache::{canonical_key, phase_key, CachedOutcome, ShardedPlanCache};
 use crate::metrics::{MetricsSnapshot, RequestKind, ServiceMetrics};
 use crate::persist::{self, PersistSummary};
 use crate::pool::EnginePool;
@@ -240,8 +241,9 @@ pub struct RoutingService {
     pool: EnginePool,
     /// Level 1: whole-request canonical keys → shared outcomes.
     cache: ShardedPlanCache<CachedOutcome>,
-    /// Level 2: completed-permutation phase keys → Theorem-2 schedules.
-    phase_cache: ShardedPlanCache<CachedPhase>,
+    /// Level 2: completed-permutation phase keys → Theorem-2 outcomes.
+    /// Shares level 1's key hasher, so one hash serves both levels.
+    phase_cache: ShardedPlanCache<CachedOutcome>,
     /// Whether level 2 has any capacity — guards the schedule clones that
     /// would otherwise be paid just to be dropped by a zero-capacity
     /// insert.
@@ -268,12 +270,18 @@ impl RoutingService {
     /// Panics if `config.shards == 0`.
     pub fn with_config(topology: PopsTopology, config: ServiceConfig) -> Self {
         let metrics = Arc::new(ServiceMetrics::new());
+        let cache = ShardedPlanCache::new(config.cache_capacity, config.cache_shards);
+        let phase_cache = ShardedPlanCache::with_hasher(
+            config.phase_cache_capacity,
+            config.cache_shards,
+            cache.hasher().clone(),
+        );
         Self {
             topology,
             colorer: config.colorer,
             pool: EnginePool::new(topology, config.colorer, config.shards, metrics.clone()),
-            cache: ShardedPlanCache::new(config.cache_capacity, config.cache_shards),
-            phase_cache: ShardedPlanCache::new(config.phase_cache_capacity, config.cache_shards),
+            cache,
+            phase_cache,
             phase_caching: config.phase_cache_capacity > 0,
             batch_router: Mutex::new(BatchRouter::new(topology, config.colorer)),
             metrics,
@@ -368,8 +376,9 @@ impl RoutingService {
         let degraded =
             matches!(req, ServiceRequest::WithFaults { faults, .. } if !faults.is_empty());
         let key = canonical_key(self.topology.d(), self.topology.g(), req);
+        let hash = self.cache.hash(&key);
 
-        if let Some(outcome) = self.cache.get(&key) {
+        if let Some(outcome) = self.cache.get(hash, &key) {
             let micros = start.elapsed().as_micros() as u64;
             self.metrics.record_hit(kind, micros);
             if degraded {
@@ -413,14 +422,19 @@ impl RoutingService {
             Ok((outcome, phase_hits)) => {
                 let slots = outcome.schedule().slot_count();
                 let outcome = Arc::new(outcome);
+                let key: Arc<[u8]> = key.into();
                 if self.phase_caching && matches!(req, ServiceRequest::Theorem2 { .. }) {
                     // The theorem2 canonical key IS the phase key of the
                     // same permutation (see `phase_key`), so the plan also
-                    // becomes a level-2 entry for future h-relation phases.
-                    self.phase_cache
-                        .insert(key.clone(), Arc::new(outcome.schedule().clone()));
+                    // becomes a level-2 entry for future h-relation phases:
+                    // the same key, hash and outcome, not copies.
+                    if self.phase_cache.insert(hash, key.clone(), outcome.clone()) {
+                        self.metrics.phase_evictions.inc();
+                    }
                 }
-                self.cache.insert(key, outcome.clone());
+                if self.cache.insert(hash, key, outcome.clone()) {
+                    self.metrics.evictions.inc();
+                }
                 let micros = start.elapsed().as_micros() as u64;
                 self.metrics.record_miss(kind, slots, micros);
                 if degraded {
@@ -467,20 +481,21 @@ impl RoutingService {
         for phase in &phases {
             let completed = phase.complete();
             let pkey = phase_key(t.d(), t.g(), &completed);
-            if let Some(cached) = self.phase_cache.get(&pkey) {
+            let hash = self.phase_cache.hash(&pkey);
+            if let Some(cached) = self.phase_cache.get(hash, &pkey) {
                 self.metrics.phase_hits.inc();
                 phase_hits += 1;
-                blocks.push(Schedule {
-                    slots: cached.slots.clone(),
-                });
+                blocks.push(cached.schedule().clone());
             } else {
                 let plan = self
                     .pool
                     .with_engine(|engine| engine.plan_theorem2(&completed));
                 self.metrics.phase_misses.inc();
                 if self.phase_caching {
-                    self.phase_cache
-                        .insert(pkey, Arc::new(plan.schedule.clone()));
+                    let outcome = Arc::new(RoutingOutcome::Schedule(plan.schedule.clone()));
+                    if self.phase_cache.insert(hash, pkey.into(), outcome) {
+                        self.metrics.phase_evictions.inc();
+                    }
                 }
                 blocks.push(plan.schedule);
             }
@@ -492,27 +507,24 @@ impl RoutingService {
     }
 
     /// Spills both cache levels to `path` in the stable
-    /// [`crate::persist`] byte format (level-1 values are persisted as
-    /// their schedules). Entries are written least-recently-used first
-    /// per shard, so a restore into the same shard layout reproduces each
-    /// shard's recency ranking (and approximates it otherwise). The file
-    /// is written to a unique temporary sibling and atomically renamed
-    /// into place, so a crash mid-spill (or a concurrent save) can never
-    /// leave a truncated file where a good one was.
+    /// [`crate::persist`] byte format (values are persisted as their
+    /// schedules). Entries are written least-recently-used first per
+    /// shard. With one shard a restore reproduces the recency ranking
+    /// exactly; with more it is approximate, because the key hash is
+    /// keyed per process and a restored entry lands in a different shard
+    /// next to different neighbours. The file is written to a unique
+    /// temporary sibling and atomically renamed into place, so a crash
+    /// mid-spill (or a concurrent save) can never leave a truncated file
+    /// where a good one was.
     pub fn save_cache(&self, path: &Path) -> std::io::Result<PersistSummary> {
-        let mut l1: Vec<(Box<[u8]>, Schedule)> = Vec::new();
-        self.cache.for_each_lru(|key, outcome| {
-            l1.push((key.into(), outcome.schedule().clone()));
-        });
-        let mut l2: Vec<(Box<[u8]>, Schedule)> = Vec::new();
-        self.phase_cache.for_each_lru(|key, schedule| {
-            l2.push((
-                key.into(),
-                Schedule {
-                    slots: schedule.slots.clone(),
-                },
-            ));
-        });
+        let spill = |level: &ShardedPlanCache<CachedOutcome>| {
+            let mut entries: Vec<(Box<[u8]>, Schedule)> = Vec::new();
+            level.for_each_lru(|key, outcome| {
+                entries.push((key[..].into(), outcome.schedule().clone()));
+            });
+            entries
+        };
+        let (l1, l2) = (spill(&self.cache), spill(&self.phase_cache));
         let bytes = persist::encode_cache_file(self.topology.d(), self.topology.g(), &l1, &l2);
         // Unique temp name per call: concurrent saves each write their own
         // file and the (atomic) renames serialize on the final path.
@@ -569,12 +581,27 @@ impl RoutingService {
             l1_entries: decoded.l1.len(),
             l2_entries: decoded.l2.len(),
         };
-        for (key, schedule) in decoded.l1 {
-            self.cache
-                .insert(key, Arc::new(RoutingOutcome::Schedule(schedule)));
-        }
+        // A theorem2 plan is spilled once per level; restore it as one
+        // shared key and outcome again, as the miss path stored it.
+        let entry = |(key, schedule): (Box<[u8]>, Schedule)| {
+            let hash = self.cache.hash(&key);
+            let outcome = Arc::new(RoutingOutcome::Schedule(schedule));
+            (hash, Arc::<[u8]>::from(key), outcome)
+        };
+        let l1: Vec<_> = decoded.l1.into_iter().map(entry).collect();
+        let in_l1: HashMap<&[u8], usize> = l1.iter().enumerate().map(|(i, e)| (&*e.1, i)).collect();
         for (key, schedule) in decoded.l2 {
-            self.phase_cache.insert(key, Arc::new(schedule));
+            let (hash, key, outcome) = match in_l1.get(&*key).map(|&i| &l1[i]) {
+                Some((hash, key, outcome)) if *outcome.schedule() == schedule => {
+                    (*hash, key.clone(), outcome.clone())
+                }
+                _ => entry((key, schedule)),
+            };
+            self.phase_cache.insert(hash, key, outcome);
+        }
+        drop(in_l1);
+        for (hash, key, outcome) in l1 {
+            self.cache.insert(hash, key, outcome);
         }
         Ok(summary)
     }
@@ -639,12 +666,15 @@ mod tests {
     use pops_permutation::families::{random_permutation, vector_reversal};
     use pops_permutation::SplitMix64;
 
+    /// One cache shard, so assertions about exact LRU contents hold on
+    /// any host (the default shard count follows the core count).
     fn small_service() -> RoutingService {
         RoutingService::with_config(
             PopsTopology::new(4, 4),
             ServiceConfig {
                 shards: 2,
                 cache_capacity: 8,
+                cache_shards: 1,
                 max_in_flight: 4,
                 colorer: ColorerKind::AlternatingPath,
                 ..ServiceConfig::default()
@@ -770,6 +800,86 @@ mod tests {
     }
 
     #[test]
+    fn theorem2_misses_store_one_plan_and_one_key_in_both_levels() {
+        let service = small_service();
+        let pi = vector_reversal(16);
+        let reply = service
+            .route(&ServiceRequest::Theorem2 { pi: pi.clone() })
+            .unwrap();
+        let key = phase_key(4, 4, &pi);
+        let hash = service.cache.hash(&key);
+        assert_eq!(hash, service.phase_cache.hash(&key), "one hasher");
+        let l2 = service.phase_cache.get(hash, &key).unwrap();
+        assert!(Arc::ptr_eq(&l2, &reply.outcome), "L2 holds the L1 outcome");
+        let mut keys = Vec::new();
+        service.cache.for_each_lru(|k, _| keys.push(k.clone()));
+        service
+            .phase_cache
+            .for_each_lru(|k, _| keys.push(k.clone()));
+        assert_eq!(keys.len(), 2);
+        assert!(Arc::ptr_eq(&keys[0], &keys[1]), "both levels share one key");
+    }
+
+    #[test]
+    fn a_working_set_under_capacity_always_hits_when_sharded() {
+        // 75% of L1 capacity, so no shard overflows unless one gets a third
+        // more than its share. Per shard the count is binomial with mean
+        // 384 (sd <= 19): overflowing the 512 slots is > 6.5 sd out, under
+        // 1e-7 per run by a Chernoff bound even at 8 shards.
+        for shards in [2usize, 8] {
+            let capacity = 512 * shards;
+            let service = RoutingService::with_config(
+                PopsTopology::new(4, 4),
+                ServiceConfig {
+                    shards: 1,
+                    cache_capacity: capacity,
+                    phase_cache_capacity: 0,
+                    cache_shards: shards,
+                    ..ServiceConfig::default()
+                },
+            );
+            let mut rng = SplitMix64::new(shards as u64);
+            let mut seen = std::collections::HashSet::new();
+            let mut working_set = Vec::new();
+            while working_set.len() < capacity * 3 / 4 {
+                let pi = random_permutation(16, &mut rng);
+                if seen.insert(pi.as_slice().to_vec()) {
+                    working_set.push(ServiceRequest::Theorem2 { pi });
+                }
+            }
+            for req in &working_set {
+                service.route(req).unwrap();
+            }
+            let before = service.metrics();
+            for req in &working_set {
+                assert!(service.route(req).unwrap().cache_hit, "{shards} shards");
+            }
+            let after = service.metrics();
+            assert_eq!(after.hits - before.hits, working_set.len() as u64);
+            assert_eq!(after.evictions, 0, "{shards} shards");
+        }
+    }
+
+    #[test]
+    fn evictions_are_counted_on_the_miss_path_only() {
+        let service = small_service(); // L1 capacity 8, L2 1024
+        let mut rng = SplitMix64::new(31);
+        let perms: Vec<_> = (0..12).map(|_| random_permutation(16, &mut rng)).collect();
+        for pi in &perms {
+            service
+                .route(&ServiceRequest::Theorem2 { pi: pi.clone() })
+                .unwrap();
+        }
+        let snap = service.metrics();
+        assert_eq!((snap.evictions, snap.phase_evictions), (4, 0));
+        for pi in &perms[4..] {
+            let req = ServiceRequest::Theorem2 { pi: pi.clone() };
+            assert!(service.route(&req).unwrap().cache_hit);
+        }
+        assert_eq!(service.metrics().evictions, 4, "hits evict nothing");
+    }
+
+    #[test]
     fn theorem2_requests_seed_the_phase_cache() {
         let service = small_service();
         let mut rng = SplitMix64::new(22);
@@ -844,6 +954,15 @@ mod tests {
         let second = small_service();
         let loaded = second.load_cache(&path).unwrap();
         assert_eq!((loaded.l1_entries, loaded.l2_entries), (2, 3));
+        // The theorem2 plan spilled from both levels is restored as one.
+        let key = phase_key(4, 4, &pi);
+        let hash = second.cache.hash(&key);
+        let l1 = second.cache.get(hash, &key).unwrap();
+        let l2 = second.phase_cache.get(hash, &key).unwrap();
+        assert!(
+            Arc::ptr_eq(&l1, &l2),
+            "one restored outcome for both levels"
+        );
         let reply = second
             .route(&ServiceRequest::Theorem2 { pi: pi.clone() })
             .unwrap();

@@ -54,6 +54,8 @@ fn topology_4x4() -> MetricsSnapshot {
     s.cache_capacity = 64;
     s.phase_cache_entries = 2;
     s.phase_cache_capacity = 32;
+    s.evictions = 2;
+    s.phase_evictions = 1;
     s
 }
 
@@ -78,6 +80,7 @@ fn retired_ledger() -> MetricsSnapshot {
     m.record_hit(RequestKind::Theorem2, 1);
     let mut s = m.snapshot();
     s.phase_misses = 1;
+    s.evictions = 1;
     s
 }
 

@@ -5,12 +5,12 @@ use proptest::prelude::*;
 
 use pops_bipartite::ColorerKind;
 use pops_core::HRelation;
-use pops_network::PopsTopology;
+use pops_network::{FaultSet, PopsTopology};
 use pops_permutation::families::random_permutation;
 use pops_permutation::{Permutation, SplitMix64};
 use pops_service::{
-    canonical_key, MetricsSnapshot, RoutingService, ServiceConfig, ServiceRequest, TopologyRouter,
-    TopologyRouterConfig,
+    canonical_key, KeyHasher, MetricsSnapshot, RoutingService, ServiceConfig, ServiceRequest,
+    ShardedPlanCache, TopologyRouter, TopologyRouterConfig,
 };
 
 /// Strategy: plausible (d, g) shapes with n = d·g ≤ 144.
@@ -199,6 +199,62 @@ proptest! {
             prop_assert!(cur.slots_emitted >= prev.slots_emitted);
             prop_assert!(cur.batches >= prev.batches);
             prev = cur;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The shard hash spreads every kind of key evenly, for any shard
+    /// count. For each count `s` in 1..=16, 256·s keys (a mix of
+    /// theorem2, fault and h-relation keys on one of four shapes) go
+    /// through one keyed hasher, and the fullest shard may hold at most
+    /// 1.5× the mean of 256. A shard's count is Binomial(256·s, 1/s), so
+    /// by the Chernoff bound (e^0.5 / 1.5^1.5)^256 a given shard exceeds
+    /// that with probability below 1e-12; over the 136 shards of a case
+    /// and every case of a run the false-failure odds stay below 1e-8.
+    #[test]
+    fn shard_hash_spreads_keys_evenly(shape in 0usize..4, seed in any::<u64>()) {
+        const PER_SHARD: usize = 256;
+        const MAX_SHARDS: usize = 16;
+        let (d, g) = [(4, 4), (16, 16), (8, 32), (32, 32)][shape];
+        let (t, n) = (PopsTopology::new(d, g), d * g);
+        let mut rng = SplitMix64::new(seed);
+        let hasher = KeyHasher::new();
+        let hashes: Vec<u64> = (0..PER_SHARD * MAX_SHARDS)
+            .map(|i| {
+                let pi = random_permutation(n, &mut rng);
+                let req = match i % 3 {
+                    0 => ServiceRequest::Theorem2 { pi },
+                    1 => {
+                        let mut faults = FaultSet::none(&t);
+                        for _ in 0..1 + i % 4 {
+                            faults.fail_coupler((rng.next_u64() % t.coupler_count() as u64) as usize);
+                        }
+                        ServiceRequest::WithFaults { pi, faults }
+                    }
+                    _ => {
+                        let pairs = (0..n).map(|s| (s, pi.apply(s))).collect();
+                        ServiceRequest::HRelation { relation: HRelation::new(n, pairs).unwrap() }
+                    }
+                };
+                hasher.hash(&canonical_key(d, g, &req))
+            })
+            .collect();
+        for shards in 1..=MAX_SHARDS {
+            let cache: ShardedPlanCache<()> =
+                ShardedPlanCache::with_hasher(PER_SHARD * shards, shards, hasher.clone());
+            let mut counts = vec![0usize; shards];
+            for &hash in &hashes[..PER_SHARD * shards] {
+                counts[cache.shard_index(hash)] += 1;
+            }
+            let fullest = counts.iter().copied().max().unwrap();
+            prop_assert!(
+                2 * fullest <= 3 * PER_SHARD,
+                "POPS({}, {}) at {} shards: fullest shard {} keys, mean {}",
+                d, g, shards, fullest, PER_SHARD
+            );
         }
     }
 }

@@ -36,6 +36,7 @@ fn spawn_server(
         ServiceConfig {
             shards: 2,
             cache_capacity: 64,
+            cache_shards: 1, // one LRU: the hit and entry counts below assume it
             max_in_flight: 8,
             colorer: ColorerKind::AlternatingPath,
             ..ServiceConfig::default()
@@ -267,6 +268,7 @@ fn warm_restart_preserves_fault_keyed_entries() {
     let config = || ServiceConfig {
         shards: 1,
         cache_capacity: 16,
+        cache_shards: 1, // one LRU: the hit and entry counts below assume it
         max_in_flight: 2,
         colorer: ColorerKind::AlternatingPath,
         ..ServiceConfig::default()

@@ -173,6 +173,90 @@ fn warm_restart_preserves_recency_under_truncation() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The spill file does not depend on the shard layout: a cache saved at
+/// 2 shards restores completely into 1 and into 8 shards (capacity is
+/// ample, so no shard can overflow), and every restored key hits — whole
+/// requests in level 1, h-relation phases in level 2.
+#[test]
+fn spills_restore_across_shard_counts() {
+    let (d, g) = (4usize, 4usize);
+    let t = PopsTopology::new(d, g);
+    let dir = unique_temp_dir("reshard");
+    let path = cache_file_path(&dir);
+    let config = |cache_shards: usize| ServiceConfig {
+        shards: 1,
+        cache_capacity: 256,
+        phase_cache_capacity: 256,
+        cache_shards,
+        max_in_flight: 2,
+        colorer: ColorerKind::AlternatingPath,
+    };
+    let mut rng = SplitMix64::new(0x5A4D);
+    let perms: Vec<_> = (0..12)
+        .map(|_| random_permutation(d * g, &mut rng))
+        .collect();
+    let relations: Vec<HRelation> = (0..4)
+        .map(|_| random_relation(d * g, 2, &mut rng))
+        .collect();
+    let requests: Vec<ServiceRequest> = perms
+        .iter()
+        .map(|pi| ServiceRequest::Theorem2 { pi: pi.clone() })
+        .chain(relations.iter().map(|relation| ServiceRequest::HRelation {
+            relation: relation.clone(),
+        }))
+        .collect();
+
+    let first = RoutingService::with_config(t, config(2));
+    for req in &requests {
+        first.route(req).unwrap();
+    }
+    let saved = first.save_cache(&path).unwrap();
+    assert_eq!(saved.l1_entries, 16);
+    assert_eq!(saved.l2_entries, first.cached_phases());
+
+    for shards in [1usize, 8] {
+        let restored = RoutingService::with_config(t, config(shards));
+        assert_eq!(restored.cache_shard_count(), shards);
+        let loaded = restored.load_cache(&path).unwrap();
+        assert_eq!(
+            (loaded.l1_entries, loaded.l2_entries),
+            (saved.l1_entries, saved.l2_entries)
+        );
+        assert_eq!(restored.cached_plans(), saved.l1_entries, "{shards} shards");
+        assert_eq!(
+            restored.cached_phases(),
+            saved.l2_entries,
+            "{shards} shards"
+        );
+        for req in &requests {
+            let reply = restored.route(req).unwrap();
+            assert!(reply.cache_hit, "{shards} shards: {:?}", req.kind());
+            assert_eq!(
+                reply.outcome.schedule(),
+                first.route(req).unwrap().outcome.schedule()
+            );
+        }
+        // Every phase of a fresh relation over the same rounds is a
+        // restored level-2 entry.
+        for relation in &relations {
+            let phases = RoutingEngine::with_colorer(t, ColorerKind::AlternatingPath)
+                .decompose_h_relation(relation);
+            for phase in &phases {
+                let pi = phase.complete();
+                let as_relation =
+                    HRelation::new(d * g, (0..d * g).map(|s| (s, pi.apply(s))).collect()).unwrap();
+                let reply = restored
+                    .route(&ServiceRequest::HRelation {
+                        relation: as_relation,
+                    })
+                    .unwrap();
+                assert_eq!(reply.phase_hits, 1, "{shards} shards");
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// End-to-end wire path: a `--cache-dir` server saves over the wire, a
 /// restarted server loads over the wire, and the first repeated request
 /// — client-side referee included — is a hit.

@@ -29,6 +29,7 @@ fn small_router(max_topologies: usize) -> Arc<TopologyRouter> {
             service: ServiceConfig {
                 shards: 2,
                 cache_capacity: 128,
+                cache_shards: 1, // one LRU: the hit and entry counts below assume it
                 max_in_flight: 8,
                 colorer: ColorerKind::AlternatingPath,
                 ..ServiceConfig::default()

@@ -28,6 +28,7 @@ fn eight_threads_hammer_one_service() {
         ServiceConfig {
             shards: 3,
             cache_capacity: 24,
+            cache_shards: 1, // one LRU: the hit and entry counts below assume it
             // Tighter than the thread count, so the admission gate and the
             // pool overflow path are genuinely exercised.
             max_in_flight: 5,
@@ -111,6 +112,7 @@ fn concurrent_h_relations_verify_per_phase() {
         ServiceConfig {
             shards: 2,
             cache_capacity: 8,
+            cache_shards: 1, // one LRU: the hit and entry counts below assume it
             max_in_flight: 4,
             colorer: ColorerKind::AlternatingPath,
             ..ServiceConfig::default()
