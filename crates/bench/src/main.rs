@@ -100,6 +100,10 @@ fn main() {
     if args.iter().any(|a| a.eq_ignore_ascii_case("BENCH_SERVICE")) {
         experiment_bench_service();
     }
+    // Same opt-in rule: CODEC overwrites BENCH_codec.json.
+    if args.iter().any(|a| a.eq_ignore_ascii_case("CODEC")) {
+        experiment_codec();
+    }
 }
 
 /// F1 — Figure 1: OPS coupler broadcast semantics.
@@ -1386,6 +1390,178 @@ fn experiment_bench_service() {
     match std::fs::write("BENCH_service.json", &json) {
         Ok(()) => println!("\nwrote BENCH_service.json\n"),
         Err(e) => println!("\ncould not write BENCH_service.json: {e}\n"),
+    }
+}
+
+/// CODEC — per-reply cost of the route-reply codecs (`BENCH_codec.json`).
+///
+/// For one Theorem-2 reply with its schedule at POPS(16, 16), (8, 32) and
+/// (32, 32): the server's streamed JSON encode, the tree encode it
+/// replaced (build `route_response`, render, drop — kept as the
+/// reference), the client's JSON decode (`Json::parse` plus
+/// `schedule_from_json`), and the binary frame encode and decode. Each
+/// step runs `TRIALS` timed trials of enough replies to fill
+/// `TRIAL_MILLIS`; the file records the median and the min/max of µs per
+/// reply over the trials. The streamed and tree encodes are first checked
+/// byte-equal, and both decoders checked to return the served schedule.
+fn experiment_codec() {
+    use pops_service::frame::{decode_route_reply, encode_route_reply};
+    use pops_service::proto::{
+        attach_trace, route_response, schedule_from_json, write_route_response,
+    };
+    use pops_service::{Json, RequestKind, RoutingService, ServiceRequest};
+
+    const TRIALS: usize = 15;
+    const TRIAL_MILLIS: u128 = 20;
+    const TRACE_ID: &str = "c1-r1";
+
+    println!("## CODEC — route-reply codec cost per reply (BENCH_codec.json)\n");
+
+    /// Median, min and max of µs per call over `TRIALS` trials of `step`.
+    fn time_step(mut step: impl FnMut()) -> (f64, f64, f64) {
+        let start = Instant::now();
+        let mut calls = 0u32;
+        while start.elapsed().as_millis() < TRIAL_MILLIS {
+            step();
+            calls += 1;
+        }
+        let mut per_call: Vec<f64> = (0..TRIALS)
+            .map(|_| {
+                let start = Instant::now();
+                for _ in 0..calls {
+                    step();
+                }
+                start.elapsed().as_secs_f64() * 1e6 / f64::from(calls)
+            })
+            .collect();
+        per_call.sort_by(f64::total_cmp);
+        (per_call[TRIALS / 2], per_call[0], per_call[TRIALS - 1])
+    }
+
+    let mut entries: Vec<String> = Vec::new();
+    for (d, g) in [(16usize, 16usize), (8, 32), (32, 32)] {
+        let t = PopsTopology::new(d, g);
+        let mut rng = SplitMix64::new(0xC0DEC);
+        let pi = random_permutation(d * g, &mut rng);
+        let service = RoutingService::new(t);
+        let reply = service
+            .route(&ServiceRequest::Theorem2 { pi: pi.clone() })
+            .expect("routes");
+        let schedule = reply.outcome.schedule();
+        let mut sim = Simulator::with_unit_packets(t);
+        sim.execute_schedule(schedule).expect("conflict-free");
+        sim.verify_delivery(pi.as_slice()).expect("delivers");
+
+        let kind = RequestKind::Theorem2;
+        let tree = || attach_trace(route_response(kind, &reply, true), TRACE_ID);
+        let mut out = Vec::new();
+        write_route_response(&mut out, kind, &reply, true, TRACE_ID);
+        let line = String::from_utf8(out.clone()).expect("UTF-8");
+        assert_eq!(line, tree().to_string(), "streamed and tree bytes differ");
+        let decoded = Json::parse(&line).expect("parses");
+        let decoded = schedule_from_json(decoded.get("schedule").expect("schedule field"));
+        assert_eq!(decoded.as_ref(), Ok(schedule));
+        let payload = encode_route_reply(reply.cache_hit, reply.micros, schedule, true);
+        let body = payload.get(1..).expect("tagged payload");
+        assert_eq!(
+            &decode_route_reply(body).expect("decodes").schedule,
+            schedule
+        );
+
+        let steps: [(&str, (f64, f64, f64)); 5] = [
+            (
+                "json_encode_streamed",
+                time_step(|| {
+                    out.clear();
+                    write_route_response(&mut out, kind, &reply, true, TRACE_ID);
+                    std::hint::black_box(&out);
+                }),
+            ),
+            (
+                "json_encode_tree",
+                time_step(|| {
+                    out.clear();
+                    let doc = tree();
+                    doc.write_to(&mut out);
+                    std::hint::black_box(&out);
+                    drop(doc);
+                }),
+            ),
+            (
+                "json_decode",
+                time_step(|| {
+                    let doc = Json::parse(std::hint::black_box(&line)).expect("parses");
+                    let field = doc.get("schedule").expect("schedule field");
+                    std::hint::black_box(schedule_from_json(field).expect("decodes"));
+                }),
+            ),
+            (
+                "frame_encode",
+                time_step(|| {
+                    let payload = encode_route_reply(false, 0, schedule, true);
+                    std::hint::black_box(payload);
+                }),
+            ),
+            (
+                "frame_decode",
+                time_step(|| {
+                    let reply = decode_route_reply(std::hint::black_box(body)).expect("decodes");
+                    std::hint::black_box(reply);
+                }),
+            ),
+        ];
+        let transmissions = schedule.total_transmissions();
+        println!(
+            "POPS({d:>2}, {g:>2}): {transmissions} transmissions, {} JSON bytes, {} frame bytes",
+            line.len(),
+            payload.len()
+        );
+        let mut fields = Vec::new();
+        for (name, (median, min, max)) in steps {
+            println!("  {name:<22} median {median:>9.2} us  (min {min:.2}, max {max:.2})");
+            fields.push(format!(
+                "      \"{name}\": {{ \"median_us\": {median:.2}, \"min_us\": {min:.2}, \
+                 \"max_us\": {max:.2}, \"replies_per_sec\": {:.1} }}",
+                1e6 / median
+            ));
+        }
+        entries.push(format!(
+            "    {{\n      \"d\": {d},\n      \"g\": {g},\n      \
+             \"transmissions\": {transmissions},\n      \"json_bytes\": {},\n      \
+             \"frame_bytes\": {},\n{}\n    }}",
+            line.len(),
+            payload.len(),
+            fields.join(",\n")
+        ));
+    }
+
+    let command_output = |program: &str, args: &[&str]| {
+        std::process::Command::new(program)
+            .args(args)
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .and_then(|out| String::from_utf8(out.stdout).ok())
+            .map_or_else(|| "unknown".to_owned(), |s| s.trim().to_owned())
+    };
+    let commit = command_output("git", &["rev-parse", "--short", "HEAD"]);
+    let rustc = command_output("rustc", &["--version"]);
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let json = format!(
+        "{{\n  \"benchmark\": \"pops_codec\",\n  \"description\": \
+         \"Microseconds per Theorem-2 route reply (schedule included, trace id \
+         attached) for each codec step: the server's streamed JSON encode, the \
+         tree encode it replaced (reference), Json::parse + schedule_from_json, \
+         and the binary frame encode and decode; median and min/max over \
+         {TRIALS} trials on one thread; regenerate with `cargo run --release \
+         --bin experiments -- CODEC`\",\n  \"machine\": {{ \"commit\": \"{commit}\", \
+         \"rustc\": \"{rustc}\", \"cores\": {cores}, \"trials\": {TRIALS} }},\n  \
+         \"configs\": [\n{}\n  ]\n}}\n",
+        entries.join(",\n")
+    );
+    match std::fs::write("BENCH_codec.json", &json) {
+        Ok(()) => println!("\nwrote BENCH_codec.json\n"),
+        Err(e) => println!("\ncould not write BENCH_codec.json: {e}\n"),
     }
 }
 

@@ -78,15 +78,28 @@ impl PartialEq<Vec<ProcessorId>> for Receivers {
     }
 }
 
+/// A single receiver becomes [`Receivers::One`], so a converted schedule
+/// holds no more heap boxes than one built with
+/// [`Transmission::unicast`].
 impl From<Vec<ProcessorId>> for Receivers {
     fn from(v: Vec<ProcessorId>) -> Self {
-        Receivers::Many(v.into_boxed_slice())
+        match *v.as_slice() {
+            [r] => Receivers::One(r),
+            _ => Receivers::Many(v.into_boxed_slice()),
+        }
     }
 }
 
+/// A single receiver becomes [`Receivers::One`] without allocating.
 impl FromIterator<ProcessorId> for Receivers {
     fn from_iter<I: IntoIterator<Item = ProcessorId>>(iter: I) -> Self {
-        Receivers::Many(iter.into_iter().collect())
+        let mut iter = iter.into_iter().fuse();
+        match (iter.next(), iter.next()) {
+            (Some(r), None) => Receivers::One(r),
+            (first, second) => {
+                Receivers::Many(first.into_iter().chain(second).chain(iter).collect())
+            }
+        }
     }
 }
 
@@ -199,6 +212,20 @@ mod tests {
         let t = Transmission::unicast(0, 3, 7, 5);
         assert_eq!(t.receivers, vec![5]);
         assert_eq!(t.packet, 7);
+    }
+
+    #[test]
+    fn single_receiver_conversions_are_inline() {
+        assert!(matches!(Receivers::from(vec![4]), Receivers::One(4)));
+        assert!(matches!([4].into_iter().collect(), Receivers::One(4)));
+        for many in [vec![], vec![1, 2], vec![1, 2, 3]] {
+            let converted = Receivers::from(many.clone());
+            assert!(matches!(converted, Receivers::Many(_)));
+            assert_eq!(converted, many);
+            let collected: Receivers = many.iter().copied().collect();
+            assert!(matches!(collected, Receivers::Many(_)));
+            assert_eq!(collected, many);
+        }
     }
 
     #[test]

@@ -159,14 +159,20 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(bytes))
     }
 
-    /// Reads a `count`-prefixed `u32` array, first proving the bytes for
-    /// `count` entries are actually present (a hostile count can never
+    /// Reads the `count` prefix of a `u32` array, first proving the bytes
+    /// for `count` entries are actually present (a hostile count can never
     /// force an allocation bigger than the frame itself).
-    fn u32_array(&mut self) -> Result<Vec<usize>, String> {
+    fn u32_count(&mut self) -> Result<usize, String> {
         let count = self.u32()? as usize;
         if self.remaining() / 4 < count {
             return Err("frame truncated (array count exceeds frame bytes)".into());
         }
+        Ok(count)
+    }
+
+    /// Reads a `count`-prefixed `u32` array.
+    fn u32_array(&mut self) -> Result<Vec<usize>, String> {
+        let count = self.u32_count()?;
         let mut out = Vec::with_capacity(count);
         for _ in 0..count {
             out.push(self.u32()? as usize);
@@ -229,12 +235,17 @@ fn decode_schedule(r: &mut Reader<'_>) -> Result<Schedule, String> {
             let sender = r.u32()? as usize;
             let coupler = r.u32()? as usize;
             let packet = r.u32()? as usize;
-            let receivers = r.u32_array()?;
+            // Collecting into `Receivers` keeps a unicast transmission
+            // inline: no per-transmission allocation.
+            let rx_count = r.u32_count()?;
+            let receivers = (0..rx_count)
+                .map(|_| r.u32().map(|rx| rx as usize))
+                .collect::<Result<_, _>>()?;
             frame.transmissions.push(Transmission {
                 sender,
                 coupler,
                 packet,
-                receivers: receivers.into(),
+                receivers,
             });
         }
         schedule.slots.push(frame);

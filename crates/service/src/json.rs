@@ -3,6 +3,21 @@
 //!
 //! Objects preserve insertion order (they are stored as a pair list), so
 //! encoded responses are deterministic and greppable in tests and CI.
+//!
+//! **Writer.** [`Json::write_to`] is the one byte renderer: it appends a
+//! document to a `Vec<u8>`, writing integer digits without `fmt` and
+//! copying unescaped string runs whole. `Display` delegates to it, and the
+//! server's streamed replies (`proto::write_route_response`) use its
+//! number and string writers, so a streamed reply and a rendered tree are
+//! the same bytes.
+//!
+//! **Parser fast paths.** [`Json::parse`] reads a run of at most 15 ASCII
+//! digits that no other number character follows as an exact integer
+//! (below 10^15 < 2^53, so it equals `str::parse::<f64>` on the same
+//! text); every other number takes the `str::parse::<f64>` path. String
+//! bodies are copied as runs up to the next `"` or `\`, so a string costs
+//! time linear in its length. Neither changes an accepted document, an
+//! error offset or an error message.
 
 use std::fmt;
 
@@ -119,54 +134,140 @@ impl Json {
     }
 }
 
-impl fmt::Display for Json {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Json {
+    /// Appends the document's compact JSON text to `out`: the bytes
+    /// `Display` prints.
+    pub fn write_to(&self, out: &mut Vec<u8>) {
         match self {
-            Json::Null => write!(f, "null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(x) => {
-                if x.fract() == 0.0 && x.abs() <= 2f64.powi(53) {
-                    write!(f, "{}", *x as i64)
-                } else {
-                    write!(f, "{x}")
-                }
-            }
-            Json::Str(s) => {
-                write!(f, "\"")?;
-                for c in s.chars() {
-                    match c {
-                        '"' => write!(f, "\\\"")?,
-                        '\\' => write!(f, "\\\\")?,
-                        '\n' => write!(f, "\\n")?,
-                        '\r' => write!(f, "\\r")?,
-                        '\t' => write!(f, "\\t")?,
-                        c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-                        c => write!(f, "{c}")?,
-                    }
-                }
-                write!(f, "\"")
-            }
+            Json::Null => out.extend_from_slice(b"null"),
+            Json::Bool(true) => out.extend_from_slice(b"true"),
+            Json::Bool(false) => out.extend_from_slice(b"false"),
+            Json::Num(x) => write_num(out, *x),
+            Json::Str(s) => write_str(out, s),
             Json::Arr(items) => {
-                write!(f, "[")?;
+                out.push(b'[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        write!(f, ",")?;
+                        out.push(b',');
                     }
-                    write!(f, "{item}")?;
+                    item.write_to(out);
                 }
-                write!(f, "]")
+                out.push(b']');
             }
             Json::Obj(pairs) => {
-                write!(f, "{{")?;
+                out.push(b'{');
                 for (i, (k, v)) in pairs.iter().enumerate() {
                     if i > 0 {
-                        write!(f, ",")?;
+                        out.push(b',');
                     }
-                    write!(f, "{}:{v}", Json::Str(k.clone()))?;
+                    write_str(out, k);
+                    out.push(b':');
+                    v.write_to(out);
                 }
-                write!(f, "}}")
+                out.push(b'}');
             }
         }
+    }
+}
+
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut out = Vec::new();
+        self.write_to(&mut out);
+        f.write_str(std::str::from_utf8(&out).map_err(|_| fmt::Error)?)
+    }
+}
+
+/// Appends a number as [`Json::Num`] renders it: an integral value within
+/// ±2⁵³ as plain digits, anything else through `f64`'s `Display`.
+// lint: hot-path
+pub(crate) fn write_num(out: &mut Vec<u8>, x: f64) {
+    if x.fract() == 0.0 && x.abs() <= 2f64.powi(53) {
+        let n = x as i64;
+        if n < 0 {
+            out.push(b'-');
+        }
+        write_digits(out, n.unsigned_abs());
+    } else {
+        // Writing into a Vec cannot fail.
+        let _ = std::io::Write::write_fmt(out, format_args!("{x}"));
+    }
+}
+
+/// Appends `n` as [`Json::Num`] renders `n as f64`, without the float
+/// round trip when `n` is exact in an `f64`.
+// lint: hot-path
+pub(crate) fn write_uint(out: &mut Vec<u8>, n: u64) {
+    if n <= 1 << 53 {
+        write_digits(out, n);
+    } else {
+        write_num(out, n as f64);
+    }
+}
+
+/// Appends the decimal digits of `n`. Up to four digits (every id of a
+/// 1024-processor fabric) are one fixed-size copy.
+// lint: hot-path
+fn write_digits(out: &mut Vec<u8>, n: u64) {
+    let digit = |k: u64| b'0' + (k % 10) as u8;
+    match n {
+        0..=9 => out.push(digit(n)),
+        10..=99 => out.extend_from_slice(&[digit(n / 10), digit(n)]),
+        100..=999 => out.extend_from_slice(&[digit(n / 100), digit(n / 10), digit(n)]),
+        1000..=9999 => {
+            out.extend_from_slice(&[digit(n / 1000), digit(n / 100), digit(n / 10), digit(n)])
+        }
+        _ => {
+            let mut buf = [0u8; 20];
+            let mut len = 0;
+            let mut rest = n;
+            for slot in buf.iter_mut().rev() {
+                *slot = digit(rest);
+                rest /= 10;
+                len += 1;
+                if rest == 0 {
+                    break;
+                }
+            }
+            out.extend_from_slice(buf.get(buf.len() - len..).unwrap_or_default());
+        }
+    }
+}
+
+/// Appends `s` as a quoted JSON string. Unescaped runs are copied whole;
+/// `"`, `\`, `\n`, `\r` and `\t` get short escapes and the other control
+/// characters `\u00XX`.
+// lint: hot-path
+pub(crate) fn write_str(out: &mut Vec<u8>, s: &str) {
+    out.push(b'"');
+    let mut rest = s.as_bytes();
+    while let Some(at) = rest
+        .iter()
+        .position(|&b| b < 0x20 || b == b'"' || b == b'\\')
+    {
+        let (run, tail) = rest.split_at(at);
+        out.extend_from_slice(run);
+        let [b, tail @ ..] = tail else { break };
+        match b {
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b'\r' => out.extend_from_slice(b"\\r"),
+            b'\t' => out.extend_from_slice(b"\\t"),
+            &c => out.extend_from_slice(&[b'\\', b'u', b'0', b'0', hex(c >> 4), hex(c & 0xf)]),
+        }
+        rest = tail;
+    }
+    out.extend_from_slice(rest);
+    out.push(b'"');
+}
+
+/// The lowercase hex digit of a nibble.
+fn hex(nibble: u8) -> u8 {
+    if nibble < 10 {
+        b'0' + nibble
+    } else {
+        b'a' + nibble - 10
     }
 }
 
@@ -277,11 +378,32 @@ fn parse_keyword(
     }
 }
 
+/// Whether `b` can continue a number token (the bytes [`parse_number`]'s
+/// scan consumes).
+fn is_number_byte(b: u8) -> bool {
+    matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
+}
+
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
+    let rest = bytes.get(start..).unwrap_or_default();
+    // Fast path: at most 15 digits with no other number byte after them
+    // is an integer below 10^15, exact in an f64 — the value
+    // `str::parse::<f64>` returns for the same text.
+    let digits = rest
+        .iter()
+        .take(16)
+        .take_while(|b| b.is_ascii_digit())
+        .count();
+    if (1..=15).contains(&digits) && !rest.get(digits).is_some_and(|&b| is_number_byte(b)) {
+        let value = rest
+            .iter()
+            .take(digits)
+            .fold(0u64, |acc, &b| acc * 10 + u64::from(b - b'0'));
+        *pos += digits;
+        return Ok(Json::Num(value as f64));
+    }
+    while *pos < bytes.len() && is_number_byte(bytes[*pos]) {
         *pos += 1;
     }
     let text =
@@ -359,15 +481,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences included).
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| fail(*pos, "invalid UTF-8 in string"))?;
-                let c = rest
-                    .chars()
-                    .next()
-                    .ok_or_else(|| fail(*pos, "invalid UTF-8 in string"))?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash whole:
+                // both are ASCII, so the run ends on a char boundary.
+                let rest = bytes.get(*pos..).unwrap_or_default();
+                let len = rest
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .unwrap_or(rest.len());
+                let run = std::str::from_utf8(&rest[..len])
+                    .map_err(|e| fail(*pos + e.valid_up_to(), "invalid UTF-8 in string"))?;
+                out.push_str(run);
+                *pos += len;
             }
         }
     }
@@ -386,6 +510,144 @@ mod tests {
         assert_eq!(v.get("want_schedule").unwrap().as_bool(), Some(true));
         let re = Json::parse(&v.to_string()).unwrap();
         assert_eq!(v, re);
+    }
+
+    /// The `fmt` renderer `Display` used before [`Json::write_to`]: the
+    /// oracle the byte writer is held to.
+    fn fmt_render(doc: &Json) -> String {
+        match doc {
+            Json::Null => "null".into(),
+            Json::Bool(b) => format!("{b}"),
+            Json::Num(x) if x.fract() == 0.0 && x.abs() <= 2f64.powi(53) => {
+                format!("{}", *x as i64)
+            }
+            Json::Num(x) => format!("{x}"),
+            Json::Str(s) => {
+                let mut out = String::from("\"");
+                for c in s.chars() {
+                    match c {
+                        '"' => out.push_str("\\\""),
+                        '\\' => out.push_str("\\\\"),
+                        '\n' => out.push_str("\\n"),
+                        '\r' => out.push_str("\\r"),
+                        '\t' => out.push_str("\\t"),
+                        c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                        c => out.push(c),
+                    }
+                }
+                out + "\""
+            }
+            Json::Arr(items) => {
+                let items: Vec<String> = items.iter().map(fmt_render).collect();
+                format!("[{}]", items.join(","))
+            }
+            Json::Obj(pairs) => {
+                let pairs: Vec<String> = pairs
+                    .iter()
+                    .map(|(k, v)| {
+                        format!("{}:{}", fmt_render(&Json::Str(k.clone())), fmt_render(v))
+                    })
+                    .collect();
+                format!("{{{}}}", pairs.join(","))
+            }
+        }
+    }
+
+    #[test]
+    fn the_byte_writer_matches_the_fmt_renderer() {
+        let every_control: String = (0u8..0x20).map(char::from).collect();
+        let numbers = [
+            0.0,
+            -0.0,
+            7.0,
+            -7.0,
+            1048576.0,
+            2f64.powi(53),
+            -(2f64.powi(53)),
+            2f64.powi(53) + 2.0,
+            1e300,
+            3.5,
+            -0.25,
+            u64::MAX as f64,
+            f64::NAN,
+            f64::INFINITY,
+        ];
+        let mut docs: Vec<Json> = numbers.into_iter().map(Json::Num).collect();
+        docs.extend([
+            Json::Null,
+            Json::Bool(true),
+            Json::Bool(false),
+            Json::str(""),
+            Json::str(every_control.as_str()),
+            Json::str("quote\"slash\\del\u{7f}snow\u{2603}emoji\u{1F600}"),
+            Json::Arr(vec![]),
+            Json::Obj(vec![]),
+        ]);
+        docs.push(Json::Obj(vec![
+            ("k\"ey\n".into(), Json::Arr(docs.clone())),
+            ("".into(), Json::Obj(vec![("x".into(), Json::Null)])),
+        ]));
+        for doc in &docs {
+            let mut bytes = Vec::new();
+            doc.write_to(&mut bytes);
+            assert_eq!(
+                String::from_utf8(bytes).unwrap(),
+                fmt_render(doc),
+                "{doc:?}"
+            );
+            assert_eq!(doc.to_string(), fmt_render(doc));
+        }
+    }
+
+    #[test]
+    fn long_strings_mix_multibyte_text_and_escapes() {
+        let unit = "ab\u{e9}\u{2603}\u{1F600}\"q\\\n\t\u{1}z";
+        let text = unit.repeat(20_000);
+        let encoded = Json::str(text.as_str()).to_string();
+        assert_eq!(Json::parse(&encoded).unwrap().as_str(), Some(text.as_str()));
+        // The same text through `\uXXXX` escapes and surrogate pairs.
+        let escaped = format!(
+            "\"{}\"",
+            "\\u00e9\u{2603}\\ud83d\\ude00\\/plain ".repeat(20_000)
+        );
+        let want = "\u{e9}\u{2603}\u{1F600}/plain ".repeat(20_000);
+        assert_eq!(Json::parse(&escaped).unwrap().as_str(), Some(want.as_str()));
+        // An error deep inside a long string keeps its byte offset.
+        let bad = format!("\"{}\\x\"", "\u{2603}".repeat(1000));
+        let err = Json::parse(&bad).unwrap_err();
+        assert_eq!((err.at, err.msg.as_str()), (3002, "invalid escape"));
+        let open = format!("\"{}", "\u{2603}".repeat(1000));
+        let err = Json::parse(&open).unwrap_err();
+        assert_eq!((err.at, err.msg.as_str()), (3001, "unterminated string"));
+    }
+
+    #[test]
+    fn integer_fast_path_agrees_with_f64_parsing() {
+        for text in [
+            "0",
+            "7",
+            "007",
+            "123456789012345",
+            "999999999999999",
+            "1234567890123456",
+            "9007199254740993",
+            "00000000000000000001",
+        ] {
+            let want: f64 = text.parse().unwrap();
+            assert_eq!(Json::parse(text).unwrap(), Json::Num(want), "{text}");
+            let array = format!("[{text},{text}]");
+            assert_eq!(
+                Json::parse(&array).unwrap(),
+                Json::Arr(vec![Json::Num(want), Json::Num(want)])
+            );
+        }
+        // A digit run followed by another number byte is not an integer.
+        assert_eq!(Json::parse("12.5").unwrap(), Json::Num(12.5));
+        assert_eq!(Json::parse("12e2").unwrap(), Json::Num(1200.0));
+        let err = Json::parse("12-3").unwrap_err();
+        assert_eq!((err.at, err.msg.as_str()), (0, "invalid number '12-3'"));
+        let err = Json::parse("[1,12x]").unwrap_err();
+        assert_eq!((err.at, err.msg.as_str()), (5, "expected ',' or ']'"));
     }
 
     #[test]

@@ -153,15 +153,16 @@ fn decode_schedule(cur: &mut Cursor<'_>) -> Result<Schedule, PersistError> {
             let coupler = cur.u32()? as usize;
             let packet = cur.u32()? as usize;
             let recv_count = cur.count(4)?;
-            let mut receivers = Vec::with_capacity(recv_count);
-            for _ in 0..recv_count {
-                receivers.push(cur.u32()? as usize);
-            }
+            // Collecting into `Receivers` keeps a unicast transmission
+            // inline, as in a live plan.
+            let receivers = (0..recv_count)
+                .map(|_| cur.u32().map(|r| r as usize))
+                .collect::<Result<_, _>>()?;
             frame.transmissions.push(Transmission {
                 sender,
                 coupler,
                 packet,
-                receivers: receivers.into(),
+                receivers,
             });
         }
         schedule.slots.push(frame);
@@ -336,6 +337,7 @@ pub fn scan_cache_dir(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pops_network::Receivers;
 
     fn sample_schedule() -> Schedule {
         Schedule {
@@ -374,6 +376,9 @@ mod tests {
         let decoded = decode_schedule(&mut cur).unwrap();
         assert_eq!(decoded, schedule);
         assert_eq!(cur.at, bytes.len(), "codec must consume exactly");
+        let receivers = &decoded.slots[0].transmissions;
+        assert!(matches!(receivers[0].receivers, Receivers::One(5)));
+        assert!(matches!(receivers[1].receivers, Receivers::Many(_)));
     }
 
     #[test]

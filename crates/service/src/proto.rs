@@ -51,7 +51,7 @@ use pops_core::HRelation;
 use pops_network::{FaultSet, PopsTopology, Schedule, SlotFrame, Transmission};
 use pops_permutation::Permutation;
 
-use crate::json::Json;
+use crate::json::{write_str, write_uint, Json};
 use crate::metrics::{
     json_fields, MetricsSnapshot, RequestKind, KIND_ROWS, ROUTER_ROWS, SNAPSHOT_ROWS, TOPOLOGY_ROWS,
 };
@@ -874,6 +874,118 @@ pub fn schedule_to_json(schedule: &Schedule) -> Json {
     )
 }
 
+/// Streams `attach_trace(route_response(kind, reply, want_schedule),
+/// trace_id)` into `out`: the same bytes its rendering gives, with no
+/// tree built or dropped. This is the server's route-reply encoder.
+// lint: hot-path
+pub fn write_route_response(
+    out: &mut Vec<u8>,
+    kind: RequestKind,
+    reply: &ServiceReply,
+    want_schedule: bool,
+    trace_id: &str,
+) {
+    let schedule = reply.outcome.schedule();
+    out.extend_from_slice(br#"{"ok":true"#);
+    member(out, "op");
+    write_str(out, "route");
+    member(out, "kind");
+    write_str(out, kind.name());
+    member(out, "slots");
+    write_uint(out, schedule.slot_count() as u64);
+    member(out, "cache");
+    write_str(out, if reply.cache_hit { "hit" } else { "miss" });
+    member(out, "micros");
+    write_uint(out, reply.micros);
+    if kind == RequestKind::HRelation {
+        member(out, "phase_hits");
+        write_uint(out, reply.phase_hits);
+    }
+    if reply.degraded {
+        member(out, "degraded");
+        out.extend_from_slice(b"true");
+    }
+    if want_schedule {
+        member(out, "schedule");
+        write_schedule(out, schedule);
+    }
+    member(out, "trace");
+    write_str(out, trace_id);
+    out.push(b'}');
+}
+
+/// Streams `attach_trace(batch_item_response(index, d, g, schedule,
+/// want_schedule, degraded), trace_id)` into `out`, like
+/// [`write_route_response`].
+// lint: hot-path
+pub fn write_batch_item_response(
+    out: &mut Vec<u8>,
+    index: usize,
+    (d, g): (usize, usize),
+    schedule: &Schedule,
+    want_schedule: bool,
+    degraded: bool,
+    trace_id: &str,
+) {
+    out.extend_from_slice(br#"{"ok":true"#);
+    member(out, "op");
+    write_str(out, "batch-item");
+    for (key, value) in [
+        ("index", index),
+        ("d", d),
+        ("g", g),
+        ("slots", schedule.slot_count()),
+    ] {
+        member(out, key);
+        write_uint(out, value as u64);
+    }
+    if degraded {
+        member(out, "degraded");
+        out.extend_from_slice(b"true");
+    }
+    if want_schedule {
+        member(out, "schedule");
+        write_schedule(out, schedule);
+    }
+    member(out, "trace");
+    write_str(out, trace_id);
+    out.push(b'}');
+}
+
+/// Writes the `,"key":` that opens every object member after the first.
+// lint: hot-path
+fn member(out: &mut Vec<u8>, key: &str) {
+    out.push(b',');
+    write_str(out, key);
+    out.push(b':');
+}
+
+/// Streams [`schedule_to_json`]'s encoding into `out`.
+// lint: hot-path
+fn write_schedule(out: &mut Vec<u8>, schedule: &Schedule) {
+    out.push(b'[');
+    for (i, slot) in schedule.slots.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        out.push(b'[');
+        for (j, tx) in slot.transmissions.iter().enumerate() {
+            if j > 0 {
+                out.push(b',');
+            }
+            out.push(b'[');
+            write_uint(out, tx.sender as u64);
+            for cell in [tx.coupler, tx.packet].iter().chain(&tx.receivers) {
+                out.push(b',');
+                write_uint(out, *cell as u64);
+            }
+            out.push(b']');
+        }
+        out.push(b']');
+    }
+    out.push(b']');
+}
+
 /// Decodes [`schedule_to_json`]'s encoding.
 pub fn schedule_from_json(value: &Json) -> Result<Schedule, String> {
     let slots = value.as_arr().ok_or("schedule must be an array of slots")?;
@@ -884,22 +996,20 @@ pub fn schedule_from_json(value: &Json) -> Result<Schedule, String> {
             .ok_or("slot must be an array of transmissions")?;
         let mut frame = SlotFrame::new();
         for tx in txs {
-            let cells = tx
-                .as_arr()
-                .filter(|c| c.len() >= 4)
-                .ok_or("transmission must be [sender, coupler, packet, receiver...]")?;
-            let nums = cells
-                .iter()
-                .map(|c| c.as_usize().ok_or("transmission cells must be integers"))
-                .collect::<Result<Vec<_>, _>>()?;
-            let [sender, coupler, packet, receivers @ ..] = nums.as_slice() else {
-                return Err("transmission must be [sender, coupler, packet, receiver...]".into());
+            let shape = "transmission must be [sender, coupler, packet, receiver...]";
+            let cells = tx.as_arr().filter(|c| c.len() >= 4).ok_or(shape)?;
+            let [sender, coupler, packet, receivers @ ..] = cells else {
+                return Err(shape.into());
             };
+            let int = |c: &Json| c.as_usize().ok_or("transmission cells must be integers");
+            // Collecting into `Receivers` keeps a unicast transmission
+            // inline: no per-transmission allocation.
+            let receivers = receivers.iter().map(int).collect::<Result<_, _>>()?;
             frame.transmissions.push(Transmission {
-                sender: *sender,
-                coupler: *coupler,
-                packet: *packet,
-                receivers: receivers.to_vec().into(),
+                sender: int(sender)?,
+                coupler: int(coupler)?,
+                packet: int(packet)?,
+                receivers,
             });
         }
         out.slots.push(frame);

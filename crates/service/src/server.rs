@@ -61,11 +61,11 @@ use crate::frame::{self, TAG_BATCH, TAG_JSON, TAG_ROUTE};
 use crate::json::Json;
 use crate::metrics::{MetricsSnapshot, RequestKind, ServiceMetrics};
 use crate::proto::{
-    attach_trace, batch_item_error, batch_item_response, batch_summary_response, bind_perm,
-    cache_persist_response, cache_stats_response, error_response, hello_response, info_response,
-    item_perm, overloaded_response, parse_request, pong_response, requested_shape, route_response,
-    shutdown_response, stats_response, BatchItemRequest, CacheAction, WireErrorKind, WireFormat,
-    WireRequest,
+    attach_trace, batch_item_error, batch_summary_response, bind_perm, cache_persist_response,
+    cache_stats_response, error_response, hello_response, info_response, item_perm,
+    overloaded_response, parse_request, pong_response, requested_shape, shutdown_response,
+    stats_response, write_batch_item_response, write_route_response, BatchItemRequest, CacheAction,
+    WireErrorKind, WireFormat, WireRequest,
 };
 use crate::record;
 use crate::router::{RouterError, TopologyRouter, TopologyRouterConfig};
@@ -837,10 +837,6 @@ struct Conn {
     /// The single write buffer every reply is encoded into, reused
     /// across requests.
     out: Vec<u8>,
-    /// Reply documents already rendered into `out`, freed only after the
-    /// write: freeing a large schedule tree takes tens of microseconds,
-    /// and the client should not wait for it.
-    spent: Vec<Json>,
 }
 
 impl Conn {
@@ -851,7 +847,6 @@ impl Conn {
             format: WireFormat::Json,
             seq: 0,
             out: Vec::new(),
-            spent: Vec::new(),
         }
     }
 
@@ -934,7 +929,7 @@ fn handle_connection(stream: TcpStream, state: &ServeState, conn_id: u64) -> std
         metrics.record_wire_error(error.kind);
         conn.out.clear();
         let codec = conn.codec();
-        put_doc(&mut conn.out, &mut conn.spent, codec, error.into_json());
+        put_doc(&mut conn.out, codec, error.into_json());
         let bytes_out = match writer.write_all(&conn.out) {
             Ok(()) => conn.out.len() as u64,
             Err(_) => 0,
@@ -977,7 +972,7 @@ fn serve_message(
         _ => (None, false),
     };
     conn.out.clear();
-    encode(&mut conn.out, &mut conn.spent, codec, result, trace.id());
+    encode(&mut conn.out, codec, result, trace.id());
     trace.stage("encode");
     // The whole reply goes out in ONE write: per-document (or worse,
     // per-fragment) writes on a raw socket without TCP_NODELAY let Nagle
@@ -995,7 +990,6 @@ fn serve_message(
         conn.out.len() as u64,
     );
     trace.stage("write");
-    conn.spent.clear();
     if let Some(slow_log) = &state.slow_log {
         match slow_log.observe(&trace) {
             SlowVerdict::Fast => {}
@@ -1711,24 +1705,19 @@ fn cache_op(state: &ServeState, action: CacheAction) -> Result<Json, WireError> 
 }
 
 /// Writes one request's reply into `out` in `codec`, tagging every JSON
-/// document with the trace id (dense frames have no spare field), and
-/// hands the rendered documents to `spent`. Pure: no I/O, no counters.
-fn encode(
-    out: &mut Vec<u8>,
-    spent: &mut Vec<Json>,
-    codec: Codec,
-    result: Result<Reply, WireError>,
-    trace_id: &str,
-) {
+/// document with the trace id (dense frames have no spare field). Route
+/// and batch-item replies stream straight into `out`; only small
+/// documents are built as trees. Pure: no I/O, no counters.
+fn encode(out: &mut Vec<u8>, codec: Codec, result: Result<Reply, WireError>, trace_id: &str) {
     let tagged = |doc: Json| attach_trace(doc, trace_id);
     let reply = match result {
         Ok(reply) => reply,
-        Err(e) => return put_doc(out, spent, codec, tagged(e.into_json())),
+        Err(e) => return put_doc(out, codec, tagged(e.into_json())),
     };
     match reply {
-        Reply::Doc(doc) => put_doc(out, spent, codec, tagged(doc)),
-        Reply::Hello(format) => put_doc(out, spent, codec, tagged(hello_response(format))),
-        Reply::Shutdown => put_doc(out, spent, codec, tagged(shutdown_response())),
+        Reply::Doc(doc) => put_doc(out, codec, tagged(doc)),
+        Reply::Hello(format) => put_doc(out, codec, tagged(hello_response(format))),
+        Reply::Shutdown => put_doc(out, codec, tagged(shutdown_response())),
         Reply::Route {
             kind,
             reply,
@@ -1738,10 +1727,9 @@ fn encode(
                 let schedule = reply.outcome.schedule();
                 frame::put_route_reply(buf, reply.cache_hit, reply.micros, schedule, want_schedule)
             }),
-            Codec::Line | Codec::JsonFrame => {
-                let doc = route_response(kind, &reply, want_schedule);
-                put_doc(out, spent, codec, tagged(doc))
-            }
+            Codec::Line | Codec::JsonFrame => put_json(out, codec, |buf| {
+                write_route_response(buf, kind, &reply, want_schedule, trace_id)
+            }),
         },
         Reply::Batch(batch) => {
             // One document (or dense frame) per item in input order, then
@@ -1754,7 +1742,7 @@ fn encode(
                     Ok(item) => item,
                     Err(e) => {
                         let doc = batch_item_error(index, e.kind, e.msg.as_str());
-                        put_doc(out, spent, codec, tagged(doc));
+                        put_doc(out, codec, tagged(doc));
                         continue;
                     }
                 };
@@ -1765,11 +1753,18 @@ fn encode(
                     Codec::Dense => frame::put_frame(out, |buf| {
                         frame::put_batch_item(buf, index, d, g, schedule, want)
                     }),
-                    Codec::Line | Codec::JsonFrame => {
+                    Codec::Line | Codec::JsonFrame => put_json(out, codec, |buf| {
                         let degraded = item.plan.degraded();
-                        let doc = batch_item_response(index, d, g, schedule, want, degraded);
-                        put_doc(out, spent, codec, tagged(doc));
-                    }
+                        write_batch_item_response(
+                            buf,
+                            index,
+                            (d, g),
+                            schedule,
+                            want,
+                            degraded,
+                            trace_id,
+                        )
+                    }),
                 }
             }
             let total = batch.items.len();
@@ -1783,26 +1778,29 @@ fn encode(
                 batch.micros,
                 &topologies,
             );
-            put_doc(out, spent, codec, tagged(summary));
+            put_doc(out, codec, tagged(summary));
         }
     }
 }
 
-/// Appends one JSON document in `codec` — a line, or a `TAG_JSON` frame —
-/// then moves it to `spent`.
-fn put_doc(out: &mut Vec<u8>, spent: &mut Vec<Json>, codec: Codec, doc: Json) {
-    // Writing into a Vec cannot fail.
+/// Appends one JSON document in `codec`.
+fn put_doc(out: &mut Vec<u8>, codec: Codec, doc: Json) {
+    put_json(out, codec, |buf| doc.write_to(buf));
+}
+
+/// Appends the JSON text `write` produces in `codec`: a line, or a
+/// `TAG_JSON` frame.
+fn put_json(out: &mut Vec<u8>, codec: Codec, write: impl FnOnce(&mut Vec<u8>)) {
     match codec {
         Codec::Line => {
-            let _ = write!(out, "{doc}");
+            write(out);
             out.push(b'\n');
         }
         Codec::JsonFrame | Codec::Dense => frame::put_frame(out, |buf| {
             buf.push(TAG_JSON);
-            let _ = write!(buf, "{doc}");
+            write(buf);
         }),
     }
-    spent.push(doc);
 }
 
 #[cfg(test)]
@@ -2754,5 +2752,176 @@ mod tests {
         assert_eq!(binary.get("bytes_out").unwrap().as_u64(), Some(0));
         client.shutdown().unwrap();
         handle.join().unwrap();
+    }
+
+    /// The reference bytes of one reply document in `codec`: the tree
+    /// form, tagged and rendered with `Display`.
+    fn rendered(codec: Codec, doc: Json, trace_id: &str) -> Vec<u8> {
+        let text = attach_trace(doc, trace_id).to_string();
+        match codec {
+            Codec::Line => format!("{text}\n").into_bytes(),
+            Codec::JsonFrame | Codec::Dense => {
+                let mut payload = vec![TAG_JSON];
+                payload.extend_from_slice(text.as_bytes());
+                let mut out = Vec::new();
+                frame::write_frame(&mut out, &payload).unwrap();
+                out
+            }
+        }
+    }
+
+    /// Trace ids that exercise every escape the string writer knows.
+    const TRACE_IDS: [&str; 5] = [
+        "c1-r1",
+        "q\"uote",
+        "back\\slash",
+        "ctl\u{1}\n\t\r\u{1f}\u{7f}",
+        "snow\u{2603}",
+    ];
+
+    /// A Theorem-2 plan, plus a schedule mixing unicast, multicast and
+    /// blind transmissions with ids beyond 2^53.
+    fn parity_outcomes() -> (RoutingPlan, Vec<Arc<pops_core::RoutingOutcome>>) {
+        use pops_network::{SlotFrame, Transmission};
+        let plan = pops_core::engine::RoutingEngine::new(PopsTopology::new(4, 4))
+            .plan_theorem2(&vector_reversal(16));
+        let mut mixed = plan.schedule.clone();
+        mixed.slots.push(SlotFrame {
+            transmissions: vec![
+                Transmission {
+                    sender: 1,
+                    coupler: 2,
+                    packet: 3,
+                    receivers: vec![4, 5, 6].into(),
+                },
+                Transmission {
+                    sender: 7,
+                    coupler: 0,
+                    packet: 8,
+                    receivers: Vec::new().into(),
+                },
+                Transmission::unicast(usize::MAX, 1 << 53, (1 << 53) + 1, 9),
+            ],
+        });
+        let outcomes = vec![
+            Arc::new(pops_core::RoutingOutcome::Plan(plan.clone())),
+            Arc::new(pops_core::RoutingOutcome::Schedule(mixed)),
+            Arc::new(pops_core::RoutingOutcome::Schedule(Schedule::new())),
+        ];
+        (plan, outcomes)
+    }
+
+    #[test]
+    fn streamed_route_replies_match_the_tree_rendering() {
+        let (_, outcomes) = parity_outcomes();
+        let mut cases = 0;
+        for codec in [Codec::Line, Codec::JsonFrame] {
+            for kind in RequestKind::ALL {
+                for outcome in &outcomes {
+                    for (cache_hit, degraded, want_schedule) in
+                        (0..8).map(|bits| (bits & 1 != 0, bits & 2 != 0, bits & 4 != 0))
+                    {
+                        for (phase_hits, micros) in [(0, 0), (3, 1234), (7, u64::MAX)] {
+                            for trace_id in TRACE_IDS {
+                                let reply = ServiceReply {
+                                    outcome: outcome.clone(),
+                                    cache_hit,
+                                    phase_hits,
+                                    degraded,
+                                    micros,
+                                };
+                                let doc = crate::proto::route_response(kind, &reply, want_schedule);
+                                let expected = rendered(codec, doc, trace_id);
+                                let route = Reply::Route {
+                                    kind,
+                                    reply,
+                                    want_schedule,
+                                };
+                                let mut out = Vec::new();
+                                encode(&mut out, codec, Ok(route), trace_id);
+                                assert_eq!(
+                                    String::from_utf8_lossy(&out),
+                                    String::from_utf8_lossy(&expected),
+                                    "{codec:?} {kind:?} hit={cache_hit} degraded={degraded}"
+                                );
+                                assert_eq!(out, expected);
+                                cases += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 2 * 6 * 3 * 8 * 3 * 5);
+    }
+
+    #[test]
+    fn streamed_batch_items_match_the_tree_rendering() {
+        let (plan, outcomes) = parity_outcomes();
+        let degraded_reply = |degraded| ServiceReply {
+            outcome: outcomes[1].clone(),
+            cache_hit: false,
+            phase_hits: 0,
+            degraded,
+            micros: 5,
+        };
+        for codec in [Codec::Line, Codec::JsonFrame] {
+            for want_schedule in [false, true] {
+                for trace_id in TRACE_IDS {
+                    let batch = BatchReply {
+                        items: vec![
+                            Ok(BatchItem {
+                                d: 4,
+                                g: 4,
+                                plan: ItemPlan::Healthy(plan.clone()),
+                            }),
+                            Err(WireError::new(WireErrorKind::BadRequest, "bad \"perm\"\n")),
+                            Ok(BatchItem {
+                                d: 2,
+                                g: 8,
+                                plan: ItemPlan::Degraded(degraded_reply(true)),
+                            }),
+                            Ok(BatchItem {
+                                d: 4,
+                                g: 4,
+                                plan: ItemPlan::Degraded(degraded_reply(false)),
+                            }),
+                        ],
+                        want_schedule,
+                        micros: 77,
+                    };
+                    let mut expected = Vec::new();
+                    let mut slots = 0;
+                    for (index, item) in batch.items.iter().enumerate() {
+                        let doc = match item {
+                            Ok(item) => {
+                                let schedule = item.plan.schedule();
+                                slots += schedule.slot_count();
+                                crate::proto::batch_item_response(
+                                    index,
+                                    item.d,
+                                    item.g,
+                                    schedule,
+                                    want_schedule,
+                                    item.plan.degraded(),
+                                )
+                            }
+                            Err(e) => batch_item_error(index, e.kind, e.msg.as_str()),
+                        };
+                        expected.extend(rendered(codec, doc, trace_id));
+                    }
+                    let summary = batch_summary_response(4, 3, 1, slots, 77, &[(2, 8), (4, 4)]);
+                    expected.extend(rendered(codec, summary, trace_id));
+                    let mut out = Vec::new();
+                    encode(&mut out, codec, Ok(Reply::Batch(batch)), trace_id);
+                    assert_eq!(
+                        String::from_utf8_lossy(&out),
+                        String::from_utf8_lossy(&expected),
+                        "{codec:?} want_schedule={want_schedule}"
+                    );
+                    assert_eq!(out, expected);
+                }
+            }
+        }
     }
 }

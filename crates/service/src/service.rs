@@ -967,6 +967,13 @@ mod tests {
             .route(&ServiceRequest::Theorem2 { pi: pi.clone() })
             .unwrap();
         assert!(reply.cache_hit, "warm restart must hit on repeats");
+        // Restored unicast transmissions are stored inline, like live ones.
+        let restored = reply.outcome.schedule();
+        assert!(restored
+            .slots
+            .iter()
+            .flat_map(|slot| &slot.transmissions)
+            .all(|tx| matches!(tx.receivers, pops_network::Receivers::One(_))));
         // The restored schedule still routes correctly.
         let mut sim = Simulator::with_unit_packets(second.topology());
         sim.execute_schedule(reply.outcome.schedule()).unwrap();

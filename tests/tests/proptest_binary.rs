@@ -40,8 +40,50 @@ fn schedule_for(shape: (usize, usize), seed: u64) -> pops_network::Schedule {
     RoutingEngine::new(t).plan_theorem2(&pi).schedule
 }
 
+/// [`schedule_for`] with some transmissions turned multicast (two or
+/// three receivers) or blind (none), so both receiver forms travel.
+fn mixed_schedule_for(shape: (usize, usize), seed: u64) -> pops_network::Schedule {
+    let mut schedule = schedule_for(shape, seed);
+    let mut rng = SplitMix64::new(seed ^ 0x5EED);
+    for tx in schedule
+        .slots
+        .iter_mut()
+        .flat_map(|slot| &mut slot.transmissions)
+    {
+        let first = tx.receivers[0];
+        tx.receivers = match rng.next_u64() % 4 {
+            0 => vec![first, first + 1].into(),
+            1 => vec![first, first + 1, first + 2].into(),
+            2 => Vec::new().into(),
+            _ => continue,
+        };
+    }
+    schedule
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn every_truncation_of_a_mixed_receiver_reply_is_a_typed_error(
+        seed in any::<u64>(),
+        shape in 0usize..SHAPES.len(),
+    ) {
+        let (d, g) = SHAPES[shape];
+        let schedule = mixed_schedule_for((d, g), seed);
+        let reply = encode_route_reply(false, 9, &schedule, true);
+        let item = encode_batch_item(1, d, g, &schedule, true);
+        prop_assert_eq!(decode_route_reply(&reply[1..]).unwrap().schedule, schedule.clone());
+        prop_assert_eq!(decode_batch_item(&item[1..]).unwrap().schedule, schedule);
+        for cut in 0..reply.len() - 1 {
+            let err = decode_route_reply(&reply[1..1 + cut]).unwrap_err();
+            prop_assert!(err.contains("truncated"), "cut {}: {}", cut, err);
+        }
+        for cut in 0..item.len() - 1 {
+            let err = decode_batch_item(&item[1..1 + cut]).unwrap_err();
+            prop_assert!(err.contains("truncated"), "cut {}: {}", cut, err);
+        }
+    }
 
     #[test]
     fn route_requests_round_trip(

@@ -166,6 +166,36 @@ fn unterminated_line_is_rejected_at_the_cap_not_buffered() {
 }
 
 #[test]
+fn a_multi_megabyte_string_value_is_parsed_in_linear_time() {
+    // 4 MiB of string value under the default 16 MiB line cap. A parser
+    // that re-validates the rest of the line for every character needs
+    // minutes for this; a linear one needs milliseconds.
+    let (addr, _service, handle) = spawn_server(
+        PopsTopology::new(2, 2),
+        small_service_config(),
+        ServerConfig::default(),
+    );
+    let pad = "x\u{2603}\\\\\\\"".repeat((4 << 20) / 8);
+    let mut line = format!(r#"{{"op":"ping","pad":"{pad}"}}"#).into_bytes();
+    assert!(line.len() > 4 << 20);
+    line.push(b'\n');
+    let start = Instant::now();
+    let mut socket = TcpStream::connect(addr).unwrap();
+    socket.write_all(&line).unwrap();
+    let response = read_response(&socket);
+    assert_eq!(
+        response.get("op").and_then(Json::as_str),
+        Some("pong"),
+        "{response}"
+    );
+    let elapsed = start.elapsed();
+    assert!(elapsed < Duration::from_secs(5), "took {elapsed:?}");
+    let mut client = ServiceClient::connect(addr).unwrap();
+    client.shutdown().unwrap();
+    assert_all_handlers_drained(&handle.join().unwrap());
+}
+
+#[test]
 fn oversized_terminated_frame_gets_a_structured_error() {
     let (addr, _service, handle) = spawn_server(
         PopsTopology::new(2, 2),
