@@ -181,7 +181,7 @@ impl fmt::Display for Json {
 /// Appends a number as [`Json::Num`] renders it: an integral value within
 /// ±2⁵³ as plain digits, anything else through `f64`'s `Display`.
 // lint: hot-path
-pub(crate) fn write_num(out: &mut Vec<u8>, x: f64) {
+fn write_num(out: &mut Vec<u8>, x: f64) {
     if x.fract() == 0.0 && x.abs() <= 2f64.powi(53) {
         let n = x as i64;
         if n < 0 {

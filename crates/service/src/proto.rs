@@ -901,17 +901,8 @@ pub fn write_route_response(
         member(out, "phase_hits");
         write_uint(out, reply.phase_hits);
     }
-    if reply.degraded {
-        member(out, "degraded");
-        out.extend_from_slice(b"true");
-    }
-    if want_schedule {
-        member(out, "schedule");
-        write_schedule(out, schedule);
-    }
-    member(out, "trace");
-    write_str(out, trace_id);
-    out.push(b'}');
+    let body = want_schedule.then_some(schedule);
+    write_reply_tail(out, reply.degraded, body, trace_id);
 }
 
 /// Streams `attach_trace(batch_item_response(index, d, g, schedule,
@@ -939,11 +930,19 @@ pub fn write_batch_item_response(
         member(out, key);
         write_uint(out, value as u64);
     }
+    let body = want_schedule.then_some(schedule);
+    write_reply_tail(out, degraded, body, trace_id);
+}
+
+/// Closes a streamed plan reply: the optional `degraded` flag and
+/// schedule body, then the `trace` field.
+// lint: hot-path
+fn write_reply_tail(out: &mut Vec<u8>, degraded: bool, body: Option<&Schedule>, trace_id: &str) {
     if degraded {
         member(out, "degraded");
         out.extend_from_slice(b"true");
     }
-    if want_schedule {
+    if let Some(schedule) = body {
         member(out, "schedule");
         write_schedule(out, schedule);
     }
