@@ -132,9 +132,7 @@ impl Json {
         }
         Ok(value)
     }
-}
 
-impl Json {
     /// Appends the document's compact JSON text to `out`: the bytes
     /// `Display` prints.
     pub fn write_to(&self, out: &mut Vec<u8>) {
